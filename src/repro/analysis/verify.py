@@ -788,10 +788,10 @@ def verify_reference_suite() -> List[Diagnostic]:
     Builds the QuClassi discriminator circuits behind the paper figures
     (Iris QC-S/QC-D/QC-E at 4 features, the binary-MNIST QC-S at 8) and
     verifies, at the full level, every program the stack compiles from them:
-    the builder's symbolic trained-state program, the bound-sweep program of
-    a data-bound discriminator, and the transpile template's program with
-    the simulated IBM-Q London noise model attached.  Used by the CLI's
-    ``--verify`` pass and the clean-suite property test.
+    the builder's symbolic trained-state program, the whole-grid program of
+    the symbolic discriminator, and its symbolic transpile template's
+    program with the simulated IBM-Q London noise model attached.  Used by
+    the CLI's ``--verify`` pass and the clean-suite property test.
     """
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
@@ -825,23 +825,25 @@ def verify_reference_suite() -> List[Diagnostic]:
             name=f"{dataset}-{architecture}:trained_state",
         )
         out.extend(verify_program(symbolic, noise_model=noise))
-        # Bound sweep program of one data-bound discriminator (run_batch path).
-        bound_circuit = builder.build(features, values)
-        bound = SweepProgram.compile(
-            bound_circuit,
-            bind_floats=True,
-            name=f"{dataset}-{architecture}:discriminator",
+        # Whole-grid program of the symbolic discriminator (every sweep).
+        discriminator = builder.symbolic_discriminator()
+        grid = SweepProgram.compile(
+            discriminator,
+            bind_floats=False,
+            parameters=builder.grid_parameters,
+            name=f"{dataset}-{architecture}:grid",
         )
         out.extend(
             verify_program(
-                bound,
-                bindings=np.asarray([bound.binding_row(bound_circuit)]),
+                grid,
+                bindings=builder.grid_bindings(values[None, :], features[None, :]),
                 noise_model=noise,
             )
         )
-        out.extend(verify_circuit(bound_circuit))
-        # Transpile-template program (the noisy-backend sweep path).
-        cache = TranspileCache()
-        entry, _ = cache.template(bound_circuit)
+        out.extend(verify_circuit(discriminator))
+        # Symbolic transpile template's program (the noisy-backend sweep path).
+        entry = TranspileCache().symbolic_template(
+            discriminator, builder.grid_parameters
+        )
         out.extend(verify_program(entry.ensure_program(), noise_model=noise))
     return out

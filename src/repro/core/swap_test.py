@@ -10,12 +10,12 @@ Two estimators implement the same interface:
   :class:`~repro.quantum.backend.Backend` (ideal, finite-shot, or a noisy
   simulated device), recovering the fidelity from the ancilla statistics.
   This is the path used for the hardware experiments and the shots ablation.
-  On simulator backends it is sweep-batched: a whole parameter-shift sweep of
-  discriminator circuits is stacked into
-  :meth:`~repro.quantum.backend.Backend.run_batch` calls, which the
-  statevector engine vectorises as one batched-statevector pass and the noisy
-  backends execute as cached transpile re-binds feeding one vectorised
-  batched-density-matrix pass under the device noise model.
+  A whole ``(parameter rows x samples)`` sweep is one call to
+  :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`: the
+  builder's symbolic discriminator plus a bindings matrix, compiled once and
+  executed tile by tile.  Encoders without angle columns (amplitude, basis)
+  run one bound circuit per element through
+  :meth:`~repro.quantum.backend.Backend.run` instead.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import arrays
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
-from repro.exceptions import ValidationError
-from repro.quantum.backend import Backend, IdealBackend
+from repro.exceptions import BackendError, ValidationError
+from repro.quantum.backend import Backend, IdealBackend, validate_shots
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.fidelity import (
     fidelities_from_swap_test_probabilities,
@@ -43,10 +44,9 @@ class FidelityEstimator(abc.ABC):
 
     #: Whether :meth:`fidelity_matrix` vectorises over a batch of parameter
     #: vectors.  The trainer and model check this flag to pick the batched
-    #: gradient/inference path.  The analytic estimator always batches; the
-    #: circuit-executing SWAP-test estimator mirrors its backend's
-    #: ``supports_batch`` (True on the simulator backends) and estimators
-    #: without batch support fall back to the per-evaluation loop.
+    #: gradient/inference path; both shipped estimators set it, and
+    #: assigning ``estimator.supports_batch = False`` on an instance forces
+    #: the per-evaluation loop.
     supports_batch: bool = False
 
     def __init__(self, builder: DiscriminatorCircuitBuilder) -> None:
@@ -172,8 +172,14 @@ class AnalyticFidelityEstimator(FidelityEstimator):
         return state
 
     def data_statevector(self, features: Sequence[float]) -> Statevector:
-        """Encoded data state ``|phi(x)>`` (memoised per feature vector, LRU)."""
-        key = tuple(np.round(np.asarray(features, dtype=float), 12))
+        """Encoded data state ``|phi(x)>`` (memoised per feature vector, LRU).
+
+        Keyed on the configured :mod:`repro.arrays` precision too, so a warm
+        cache never hands a state built at one precision to a sweep at the
+        other.
+        """
+        rounded = np.round(np.asarray(features, dtype=float), 12)
+        key = (arrays.get_precision(), tuple(rounded))
         cached = self._data_state_cache.get(key)
         if cached is None:
             circuit = self.builder.data_state_circuit(features)
@@ -210,7 +216,7 @@ class AnalyticFidelityEstimator(FidelityEstimator):
         last ULP, like every other batched fast path.
         """
         feature_matrix = np.ascontiguousarray(np.asarray(feature_matrix, dtype=float))
-        key = (feature_matrix.shape, feature_matrix.tobytes())
+        key = (arrays.get_precision(), feature_matrix.shape, feature_matrix.tobytes())
         cached = self._data_matrix_cache.get(key)
         if cached is None:
             program = self._data_encoder_program()
@@ -315,25 +321,16 @@ class AnalyticFidelityEstimator(FidelityEstimator):
 class SwapTestFidelityEstimator(FidelityEstimator):
     """Fidelity from SWAP-test ancilla statistics on an execution backend.
 
-    The estimator is sweep-batched and memory-bounded: :meth:`fidelities`
-    and :meth:`fidelity_matrix` hand the whole (parameter row x sample)
-    workload to
-    :meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities` on
-    backends that execute compiled sweep programs — the backend compiles the
-    shared discriminator structure once (statevector program cache, or the
-    noisy transpile template's precomposed-superoperator program), consumes
-    the circuits only for their binding rows, and streams the grid tile by
-    tile under a :class:`~repro.quantum.program.TilePlan` derived from
-    ``max_batch_amplitudes``.  Backends without program support fall back to
-    chunked :meth:`~repro.quantum.backend.Backend.ancilla_zero_probabilities`
-    calls.  Circuit construction is amortised too — the data-bound
-    (trained-state symbolic) discriminator of each sample is memoised in an
-    LRU cache, so a parameter-shift sweep only pays a flat parameter re-bind
-    per circuit.
-
-    ``supports_batch`` mirrors the backend's flag: on the simulator backends
-    the trainer, :meth:`GradientRule.gradient_batched`, and QuClassi inference
-    route whole sweeps through :meth:`fidelity_matrix` automatically.
+    :meth:`fidelities` and :meth:`fidelity_matrix` hand the whole
+    (parameter row x sample) workload to
+    :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`:
+    the builder's symbolic discriminator is compiled once by the backend
+    and the grid's bindings matrix streams through it tile by tile under a
+    :class:`~repro.quantum.program.TilePlan` derived from
+    ``max_batch_amplitudes``.  Encoders without angle columns loop
+    :meth:`fidelity` — one bound circuit per element through
+    :meth:`~repro.quantum.backend.Backend.run` — in the same row-major
+    order, so sampled results are seed-identical either way.
 
     Parameters
     ----------
@@ -349,11 +346,13 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         axes: every in-flight (parameter row, data sample) pair costs its
         full discriminator state — ``2**num_qubits`` complex entries on the
         statevector backends, ``4**num_qubits`` on density backends — and
-        the two-axis :class:`~repro.quantum.program.TilePlan` (or, on
-        non-program backends, the chunk size) is derived from this bound.
+        the grid's :class:`~repro.quantum.program.TilePlan` is derived from
+        this bound.
     """
 
-    #: Default amplitude budget per vectorised chunk (~128 MiB of complex128).
+    supports_batch = True
+
+    #: Default amplitude budget per tile (~128 MiB of complex128).
     DEFAULT_MAX_BATCH_AMPLITUDES = 2**23
 
     def __init__(
@@ -365,37 +364,17 @@ class SwapTestFidelityEstimator(FidelityEstimator):
     ) -> None:
         super().__init__(builder)
         self.backend = backend if backend is not None else IdealBackend()
-        if shots is not None and shots <= 0:
-            raise ValidationError(f"shots must be positive or None, got {shots}")
-        self.shots = shots
+        try:
+            self.shots = validate_shots(shots, type(self).__name__)
+        except BackendError as error:
+            raise ValidationError(str(error)) from None
         if max_batch_amplitudes <= 0:
             raise ValidationError(
                 f"max_batch_amplitudes must be positive, got {max_batch_amplitudes}"
             )
         self._max_batch_amplitudes = int(max_batch_amplitudes)
-        self._supports_batch_override: Optional[bool] = None
         #: Number of circuits executed so far (cost accounting for reports).
         self.circuits_executed = 0
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        """Whether sweeps run through the backend batch API.
-
-        Derived from the *current* backend (``backend`` is a public
-        attribute that callers swap, e.g. to re-score a trained model on a
-        noisy device), so the trainer and inference always see the flag of
-        the backend that will actually execute the sweep.  Assigning the
-        attribute (the ``estimator.supports_batch = False`` idiom used to
-        force the per-evaluation loop) pins an explicit override; assign
-        ``None`` to resume tracking the backend.
-        """
-        if self._supports_batch_override is not None:
-            return self._supports_batch_override
-        return bool(getattr(self.backend, "supports_batch", False))
-
-    @supports_batch.setter
-    def supports_batch(self, value: Optional[bool]) -> None:
-        self._supports_batch_override = None if value is None else bool(value)
 
     # ------------------------------------------------------------------ #
     # Circuit assembly
@@ -412,51 +391,6 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         if getattr(self.backend, "is_noisy", False):
             return 2 ** (2 * num_qubits)
         return 2**num_qubits
-
-    def _zero_probabilities(self, circuits, rows: int, samples: int) -> np.ndarray:
-        """Ancilla readouts for one (rows x samples) sweep, memory-bounded.
-
-        On backends that execute compiled sweep programs
-        (``supports_programs``), the whole two-axis workload goes through one
-        :meth:`~repro.quantum.backend.Backend.sweep_zero_probabilities` call
-        under a :class:`~repro.quantum.program.TilePlan` derived from
-        ``max_batch_amplitudes`` — the budget counts every (shift row, data
-        sample) pair's full state, so both axes are accounted, and the
-        backend streams tiles without materialising per-element results.
-        Other backends fall back to chunked
-        :meth:`~repro.quantum.backend.Backend.ancilla_zero_probabilities`
-        calls over the lazily consumed circuit stream (only one chunk's
-        circuits are alive at a time).  Both paths are draw-for-draw
-        identical under a shared seed.
-        """
-        per_element = self._per_element_amplitudes()
-        if getattr(self.backend, "supports_programs", False):
-            plan = TilePlan.for_circuit_sweep(
-                rows, samples, per_element, self._max_batch_amplitudes
-            )
-            zeros = self.backend.sweep_zero_probabilities(
-                circuits, shots=self.shots, tile_plan=plan
-            )
-            self.circuits_executed += int(zeros.shape[0])  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-            return zeros
-        iterator = iter(circuits)
-        first = next(iterator, None)
-        if first is None:
-            return np.zeros(0)
-        chunk_size = max(1, self._max_batch_amplitudes // per_element)
-        parts = []
-        chunk = [first]
-        for circuit in iterator:
-            if len(chunk) == chunk_size:
-                parts.append(
-                    self.backend.ancilla_zero_probabilities(chunk, shots=self.shots)
-                )
-                self.circuits_executed += len(chunk)  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-                chunk = []
-            chunk.append(circuit)
-        parts.append(self.backend.ancilla_zero_probabilities(chunk, shots=self.shots))
-        self.circuits_executed += len(chunk)  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
-        return np.concatenate(parts)
 
     def _grid_zero_probabilities(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
@@ -497,32 +431,26 @@ class SwapTestFidelityEstimator(FidelityEstimator):
     # ------------------------------------------------------------------ #
     def fidelity(self, parameter_values: Sequence[float], features: Sequence[float]) -> float:
         circuit = self.builder.build(features, parameter_values=parameter_values)
-        probability_zero = self.backend.ancilla_zero_probability(circuit, shots=self.shots)
-        self.circuits_executed += 1
+        result = self.backend.run(circuit, shots=self.shots)
+        probability_zero = result.marginal_probability(0, value=0)
+        self.circuits_executed += 1  # repro: noqa REP101 -- estimators are rebuilt per shard from EstimatorSpec; the parent merges counts after the sweep
         return fidelity_from_swap_test_probability(probability_zero)
 
     def fidelities(self, parameter_values: Sequence[float], feature_matrix: np.ndarray) -> np.ndarray:
-        """Fidelities for every sample row, executed as one circuit batch.
-
-        A one-row :meth:`fidelity_matrix` sweep — delegating keeps the two
-        paths order-identical, which the seed-matched RNG guarantees rely on.
-        """
+        """Fidelities for every sample row: a one-row :meth:`fidelity_matrix`."""
         parameter_values = np.asarray(parameter_values, dtype=float)
         return self.fidelity_matrix(parameter_values[None, :], feature_matrix)[0]
 
     def fidelity_matrix(
         self, parameter_matrix: np.ndarray, feature_matrix: np.ndarray
     ) -> np.ndarray:
-        """Vectorised ``(batch, samples)`` fidelity matrix via the batch API.
+        """Vectorised ``(batch, samples)`` fidelity matrix.
 
-        When the backend executes whole-grid programs and the encoder
-        supports angle columns, the entire sweep routes through one
+        Angle-column encoders route the entire sweep through one
         :meth:`_grid_zero_probabilities` call — a single compiled program
-        with the grid's bindings matrix, no per-sample circuits.  Otherwise
-        the discriminator circuits of every (parameter row, sample) pair —
-        all sharing one gate structure — stack into backend batches.  Both
-        paths walk elements in the same row-major order, so sampled sweeps
-        stay seed-identical either way.
+        with the grid's bindings matrix, no per-sample circuits.  Other
+        encoders loop :meth:`fidelity` over the grid in the same row-major
+        order, so sampled sweeps stay seed-identical either way.
         """
         parameter_matrix = np.asarray(parameter_matrix, dtype=float)
         if parameter_matrix.ndim != 2:
@@ -535,34 +463,13 @@ class SwapTestFidelityEstimator(FidelityEstimator):
         samples = feature_matrix.shape[0]
         if rows == 0 or samples == 0:
             return np.zeros((rows, samples))
-        if (
-            self.supports_batch
-            and getattr(self.backend, "supports_grid_programs", False)
-            and self.builder.supports_grid_compile
-        ):
-            zeros = self._grid_zero_probabilities(parameter_matrix, feature_matrix)
-            fidelities = fidelities_from_swap_test_probabilities(zeros)
-            return fidelities.reshape(rows, samples)
-
-        # One cache lookup per sample (shared references), not one per
-        # (parameter row, sample) pair.  Binding the shared cached instances
-        # is safe: bind_parameters produces fresh circuits without touching
-        # the originals.
-        sample_circuits = [
-            self.builder._cached_data_bound_discriminator(features)
-            for features in feature_matrix
-        ]
-
-        def circuit_stream():
-            # Row-major (parameter row, then sample) order — the same order
-            # as the per-circuit loop, so sampled sweeps stay seed-identical.
-            for row in parameter_matrix:
-                binding = self.builder.parameter_binding(row)
-                for circuit in sample_circuits:
-                    yield circuit.bind_parameters(binding)
-
-        zeros = self._zero_probabilities(
-            circuit_stream(), parameter_matrix.shape[0], feature_matrix.shape[0]
-        )
-        fidelities = fidelities_from_swap_test_probabilities(zeros)
-        return fidelities.reshape(parameter_matrix.shape[0], feature_matrix.shape[0])
+        if not self.builder.supports_grid_compile:
+            return np.array(
+                [
+                    [self.fidelity(row, features) for features in feature_matrix]
+                    for row in parameter_matrix
+                ],
+                dtype=float,
+            )
+        zeros = self._grid_zero_probabilities(parameter_matrix, feature_matrix)
+        return fidelities_from_swap_test_probabilities(zeros).reshape(rows, samples)

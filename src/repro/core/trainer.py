@@ -16,22 +16,20 @@ Two update granularities are supported:
 * ``"stochastic"`` — one update per sample, the literal reading of
   Algorithm 1; used by the hardware-style experiments with small subsamples.
 
-When the model's estimator advertises ``supports_batch``, each gradient
-evaluation runs through :meth:`GradientRule.gradient_batched`: all ``2P``
-shifted parameter vectors are stacked into one matrix and evaluated in a
-single vectorised statevector/cost pass, which is numerically equivalent to
-the loop (same shifts, same reduction order) but removes the per-shift Python
-rebuild of the trained state.  The analytic estimator always batches; the
-circuit-executing SWAP-test estimator batches whenever its backend does
-(every simulator backend).  Under the hood the full (shift-row x sample)
-workload of one gradient evaluation executes as a *single tiled
-compile-once sweep*: the estimator's ``fidelity_matrix`` compiles the
-discriminator structure once into a
-:class:`~repro.quantum.program.SweepProgram` (cached across epochs) and
-streams the grid through memory-bounded
+When the model's estimator advertises ``supports_batch`` (both shipped
+estimators do), each gradient evaluation runs through
+:meth:`GradientRule.gradient_batched`: all ``2P`` shifted parameter vectors
+are stacked into one matrix and evaluated in a single vectorised pass, which
+is numerically equivalent to the loop (same shifts, same reduction order)
+but removes the per-shift Python rebuild of the trained state.  For the
+SWAP-test estimator the full (shift-row x sample) workload of one gradient
+evaluation is a *single whole-grid sweep*: one call to
+:meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`, whose
+compiled :class:`~repro.quantum.program.SweepProgram` is cached across
+epochs and streamed through memory-bounded
 :class:`~repro.quantum.program.TilePlan` tiles — see
-``docs/compile_once_programs.md``.  Estimators on backends without batch
-support keep the per-evaluation loop.
+``docs/compile_once_programs.md``.  Assigning
+``estimator.supports_batch = False`` keeps the per-evaluation loop.
 
 Per-class random streams (order independence)
 ---------------------------------------------

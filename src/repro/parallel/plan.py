@@ -306,16 +306,18 @@ class EstimatorSpec:
             SwapTestFidelityEstimator,
         )
 
+        # ``supports_batch`` is a class attribute on both estimators; an
+        # instance assignment (the ``estimator.supports_batch = False`` idiom
+        # that forces the per-evaluation loop) shadows it and must travel
+        # with the spec.
+        override = estimator.__dict__.get("supports_batch")
         if isinstance(estimator, AnalyticFidelityEstimator):
-            # ``supports_batch`` is a class attribute; an instance assignment
-            # (the ``estimator.supports_batch = False`` idiom that forces the
-            # per-evaluation loop) shadows it and must travel with the spec.
             return cls(
                 kind="analytic",
                 data_cache_size=estimator._data_state_cache.max_entries,
                 data_matrix_cache_size=estimator._data_matrix_cache.max_entries,
                 max_batch_amplitudes=estimator._max_batch_amplitudes,
-                supports_batch_override=estimator.__dict__.get("supports_batch"),
+                supports_batch_override=override,
             )
         if isinstance(estimator, SwapTestFidelityEstimator):
             return cls(
@@ -323,7 +325,7 @@ class EstimatorSpec:
                 backend=BackendSpec.from_backend(estimator.backend),
                 shots=estimator.shots,
                 max_batch_amplitudes=estimator._max_batch_amplitudes,
-                supports_batch_override=estimator._supports_batch_override,
+                supports_batch_override=override,
             )
         raise ValidationError(
             f"cannot derive an EstimatorSpec from {type(estimator).__name__}; "

@@ -343,52 +343,3 @@ class BatchedDensityMatrix:
         superop, per_element = self._operator_term(matrix, len(qubits))
         self._apply_superop(superop, qubits, per_element)
         return self
-
-    def apply_kraus(
-        self, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int]
-    ) -> "BatchedDensityMatrix":
-        """Apply a quantum channel ``rho -> sum_k K_k rho K_k†`` on ``qubits``.
-
-        Each Kraus operator is a shared ``(2**k, 2**k)`` matrix or a
-        per-element ``(batch, 2**k, 2**k)`` stack; flavours may be mixed
-        within one channel.
-        """
-        qubits = self._check_qubits(qubits)
-        kraus_operators = list(kraus_operators)
-        if not kraus_operators:
-            raise SimulationError("a channel needs at least one Kraus operator")
-        k = len(qubits)
-        superop: Optional[np.ndarray] = None
-        per_element = False
-        for kraus in kraus_operators:
-            term, term_per_element = self._operator_term(kraus, k)
-            if term_per_element and not per_element and superop is not None:
-                superop = superop[None]  # broadcast the shared prefix sum
-            elif per_element and not term_per_element:
-                term = term[None]
-            per_element = per_element or term_per_element
-            superop = term if superop is None else superop + term
-        self._apply_superop(superop, qubits, per_element)
-        return self
-
-    def apply_instruction(self, instruction) -> "BatchedDensityMatrix":
-        """Apply one bound gate instruction to every batch element."""
-        if instruction.name == "barrier":
-            return self
-        if not instruction.is_gate:
-            raise SimulationError(
-                f"BatchedDensityMatrix cannot apply non-unitary instruction "
-                f"'{instruction.name}' directly"
-            )
-        return self.apply_matrix(instruction.matrix(), instruction.qubits)
-
-    def evolve(self, circuit) -> "BatchedDensityMatrix":
-        """Apply every gate of a bound, measurement-free circuit to all elements."""
-        for instruction in circuit.instructions:
-            if instruction.is_measurement or instruction.name == "reset":
-                raise SimulationError(
-                    "BatchedDensityMatrix.evolve only supports unitary circuits; "
-                    "use DensityMatrixSimulator.run_batch for measurements"
-                )
-            self.apply_instruction(instruction)
-        return self

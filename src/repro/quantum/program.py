@@ -2,11 +2,10 @@
 
 The training hot path is dominated by *structure-sharing sweeps*: every
 parameter-shift row and every data sample of a QuClassi gradient evaluation
-executes the **same** gate skeleton with different rotation angles.  Before
-this module, each ``run_batch`` call re-derived the per-gate plan — gate
-matrices looked up per call, noise channels resolved per gate per call — and
-batching was only possible along the flattened circuit list, so the 17-qubit
-MNIST sweeps either blew peak memory or fell back to loops.
+executes the **same** gate skeleton with different rotation angles.  Executing
+each of them as its own circuit re-derives the per-gate plan — gate matrices
+looked up per call, noise channels resolved per gate per call — and the
+17-qubit MNIST sweeps either blow peak memory or fall back to loops.
 
 :class:`SweepProgram` splits that hot path into **compile once / execute
 many**:
@@ -297,8 +296,8 @@ class GateStep:
 
     ``fused_from`` is the fusion pass's provenance: the ordered source steps
     a fused step replaced.  It is what lets :meth:`SweepProgram.binding_row`
-    and :meth:`SweepProgram.matches_structure` keep working against original
-    circuits, what the density engine composes noise from (a fused step's
+    keep working against original circuits, what the density engine
+    composes noise from (a fused step's
     synthetic name must never reach a name-keyed channel lookup), and what
     the VER4xx translation validator certifies the rewrite against.
     """
@@ -319,7 +318,7 @@ class GateStep:
 # --------------------------------------------------------------------------- #
 
 #: Opt-in switch for plan-time fusion on the cached execution paths (the
-#: simulators' ``run_batch`` program cache and ``TranspileCache`` templates).
+#: simulators' grid-program cache and ``TranspileCache`` templates).
 #: Off by default: fusion is certified-equivalent but regroups float matrix
 #: products, so the default paths keep the seed's bit-exact guarantees.
 OPTIMIZE_PROGRAMS_ENV = "REPRO_OPTIMIZE_PROGRAMS"
@@ -470,7 +469,7 @@ class SweepProgram:
         Two modes cover every consumer:
 
         * ``bind_floats=True`` — the representative is one *bound* circuit of
-          a sweep (the ``run_batch`` fast path): every float gate angle
+          a sweep (the static analyzers' discriminator model): every float gate angle
           becomes a bindings column, because sibling circuits are free to
           bind a different value there.  Symbolic parameters are rejected.
         * ``bind_floats=False`` — the representative is *symbolic* (a
@@ -777,41 +776,6 @@ class SweepProgram:
             raise mismatch()
         return row
 
-    def matches_structure(self, circuit) -> bool:
-        """Whether ``circuit`` has the gate skeleton this program compiled."""
-        if (
-            circuit.num_qubits != self.num_qubits
-            or circuit.num_clbits != self.num_clbits
-        ):
-            return False
-        step_iter = self.source_steps()
-        measured: List[int] = []
-        bits: List[int] = []
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            if instruction.is_measurement:
-                measured.extend(instruction.qubits)
-                bits.extend(instruction.clbits)
-                continue
-            step = next(step_iter, None)
-            if (
-                step is None
-                or step.name != instruction.name
-                or step.qubits != instruction.qubits
-            ):
-                return False
-        return (
-            next(step_iter, None) is None
-            and tuple(measured) == self.measured_qubits
-            and tuple(bits) == self.clbits
-        )
-
-    def bindings_from_circuits(self, circuits: Sequence) -> np.ndarray:
-        """Stacked binding rows of a structure-sharing sweep of bound circuits."""
-        rows = [self.binding_row(circuit) for circuit in circuits]
-        return np.asarray(rows, dtype=float).reshape(len(rows), self.num_columns)
-
     def _check_bindings(self, bindings) -> np.ndarray:
         bindings = np.asarray(bindings, dtype=float)
         if bindings.ndim != 2:
@@ -944,9 +908,9 @@ class SweepProgram:
     def evolve(self, bindings, engine):
         """Evolve the whole batch at once; returns the engine's batched state.
 
-        Used by the ``run_batch`` executors, which must hand back every
-        element's final state.  ``bindings`` is a ``(batch, num_columns)``
-        float matrix (one row per sweep element).
+        Used where every element's final state is needed (the analytic
+        estimator's trained and data states).  ``bindings`` is a
+        ``(batch, num_columns)`` float matrix (one row per sweep element).
         """
         bindings = self._check_bindings(bindings)
         operands = self._resolve_operands(bindings)

@@ -1,10 +1,14 @@
 """Whole-grid SweepProgram path of the SWAP-test estimator.
 
-The tentpole guarantee: routing a ``(rows x samples)`` fidelity sweep
+The route-identity matrix: routing a ``(rows x samples)`` fidelity sweep
 through ONE compiled program — encoder angles as bind columns, trained
-prefix evolved once per tile and broadcast — must be **draw-for-draw
-bit-identical** to the per-sample circuit stream it replaces, on every
-backend, with and without certified fusion, and under any tile budget.
+prefix evolved once per tile and broadcast — must match the per-element
+reference loop (:meth:`SwapTestFidelityEstimator.fidelity`, one bound
+circuit per element through ``Backend.run``) on every backend, with and
+without certified fusion, and under any tile budget: **draw-for-draw
+bit-identical** wherever shots are sampled, and to ``1e-12`` for exact
+readouts (the compiled einsum path and the per-circuit contraction round
+differently at the last ULP).
 """
 
 import numpy as np
@@ -55,18 +59,25 @@ BUDGETS = {
 }
 
 
-def grid_and_stream(builder, backend_key, budget, optimize):
-    """(grid estimator, stream-forced twin) with fresh same-seeded backends."""
-    estimators = []
-    for force_stream in (False, True):
-        backend, shots = BACKENDS[backend_key]()
-        estimator = SwapTestFidelityEstimator(
-            builder, backend=backend, shots=shots, max_batch_amplitudes=budget
-        )
-        if force_stream:
-            estimator.backend.supports_grid_programs = False
-        estimators.append(estimator)
-    return estimators
+def grid_and_loop(builder, backend_key, budget, parameter_matrix, samples):
+    """(grid matrix, per-element loop matrix) from fresh same-seeded backends."""
+    backend, shots = BACKENDS[backend_key]()
+    grid = SwapTestFidelityEstimator(
+        builder, backend=backend, shots=shots, max_batch_amplitudes=budget
+    ).fidelity_matrix(parameter_matrix, samples)
+    backend, shots = BACKENDS[backend_key]()
+    reference = SwapTestFidelityEstimator(builder, backend=backend, shots=shots)
+    loop = np.array(
+        [[reference.fidelity(row, sample) for sample in samples] for row in parameter_matrix]
+    )
+    return grid, loop
+
+
+def assert_route_identity(backend_key, grid, loop):
+    if backend_key == "analytic":
+        np.testing.assert_allclose(grid, loop, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(grid, loop)
 
 
 class TestGridMatchesStreamBitwise:
@@ -76,33 +87,31 @@ class TestGridMatchesStreamBitwise:
     def test_grid_sweep_is_bit_identical_to_stream(
         self, builder, parameter_matrix, samples, backend_key, budget_key, optimize, monkeypatch
     ):
+        """The grid route matches the per-element ``Backend.run`` loop."""
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, optimize)
         budget = BUDGETS[budget_key](builder)
-        grid, stream = grid_and_stream(builder, backend_key, budget, optimize)
-        assert grid.backend.supports_grid_programs is True
-        grid_matrix = grid.fidelity_matrix(parameter_matrix, samples)
-        stream_matrix = stream.fidelity_matrix(parameter_matrix, samples)
-        np.testing.assert_array_equal(grid_matrix, stream_matrix)
+        grid, loop = grid_and_loop(builder, backend_key, budget, parameter_matrix, samples)
+        assert_route_identity(backend_key, grid, loop)
 
     def test_single_angle_encoder_grid_matches_stream(self, monkeypatch):
+        """Single-angle discriminators are 9 qubits: too wide for the noisy device."""
         monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV, raising=False)
         builder = make_builder(SingleAngleEncoder())
         rng = np.random.default_rng(43)
         matrix = rng.uniform(0, np.pi, size=(2, builder.num_parameters))
         features = rng.uniform(0.05, 0.95, size=(3, 4))
-        grid, stream = grid_and_stream(builder, "sampled", 2**20, "0")
-        np.testing.assert_array_equal(
-            grid.fidelity_matrix(matrix, features),
-            stream.fidelity_matrix(matrix, features),
-        )
+        for backend_key in ("analytic", "sampled"):
+            grid, loop = grid_and_loop(builder, backend_key, 2**20, matrix, features)
+            assert_route_identity(backend_key, grid, loop)
 
     def test_fidelities_row_delegates_to_the_grid(self, builder, samples):
         rng = np.random.default_rng(44)
         values = rng.uniform(0, np.pi, builder.num_parameters)
-        grid, stream = grid_and_stream(builder, "noisy", 2**23, "0")
-        np.testing.assert_array_equal(
-            grid.fidelities(values, samples), stream.fidelities(values, samples)
-        )
+        grid, loop = grid_and_loop(builder, "noisy", 2**23, values[None, :], samples)
+        backend, shots = BACKENDS["noisy"]()
+        row = SwapTestFidelityEstimator(builder, backend=backend, shots=shots)
+        np.testing.assert_array_equal(row.fidelities(values, samples), grid[0])
+        np.testing.assert_array_equal(grid, loop)
 
     def test_empty_grid_short_circuits(self, builder, parameter_matrix):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
@@ -119,6 +128,7 @@ class TestGridMatchesStreamBitwise:
 
 class TestGridBindings:
     def test_row_major_layout_matches_the_stream_order(self, builder, parameter_matrix, samples):
+        """Grid rows follow the per-element loop's (row, then sample) order."""
         bindings = builder.grid_bindings(parameter_matrix, samples)
         rows, params = parameter_matrix.shape
         angles = builder.encoder.angle_matrix(samples)

@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.circuit_builder import DiscriminatorCircuitBuilder
 from repro.core.layers import LayerStack
+from repro import arrays
 from repro.core.swap_test import AnalyticFidelityEstimator, SwapTestFidelityEstimator
-from repro.encoding import DualAngleEncoder
-from repro.exceptions import ValidationError
+from repro.encoding import AmplitudeEncoder, BasisEncoder, DualAngleEncoder
+from repro.exceptions import BackendError, ValidationError
 from repro.hardware import ibmq_london
-from repro.quantum.backend import IdealBackend, SampledBackend
+from repro.quantum.backend import Backend, IdealBackend, SampledBackend
 
 
 def make_builder(num_features: int = 4, architecture: str = "s") -> DiscriminatorCircuitBuilder:
@@ -114,6 +115,12 @@ class TestSwapTestEstimator:
         with pytest.raises(ValidationError):
             SwapTestFidelityEstimator(builder, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, True, "64", -3])
+    def test_non_integer_shots_rejected_at_construction(self, builder, shots):
+        """Bad shot counts fail when the estimator is built, not at the first sweep."""
+        with pytest.raises((ValidationError, BackendError)):
+            SwapTestFidelityEstimator(builder, backend=SampledBackend(seed=0), shots=shots)
+
     def test_noisy_backend_biases_fidelity_downwards(self, builder):
         """Hardware noise dilutes the SWAP-test signal towards 0.5 ancilla probability."""
         encoder = DualAngleEncoder()
@@ -194,8 +201,8 @@ class TestDataStateCacheBound:
         estimator.data_statevector(b)
         estimator.data_statevector(a)  # refresh a
         estimator.data_statevector(c)  # evicts b
-        key_a = tuple(np.round(a, 12))
-        key_b = tuple(np.round(b, 12))
+        key_a = (arrays.get_precision(), tuple(np.round(a, 12)))
+        key_b = (arrays.get_precision(), tuple(np.round(b, 12)))
         assert key_a in estimator._data_state_cache
         assert key_b not in estimator._data_state_cache
 
@@ -219,37 +226,34 @@ class TestSwapTestBatchedPath:
     """The SWAP-test estimator routes sweeps through the backend batch API."""
 
     def test_supports_batch_mirrors_the_backend(self, builder):
-        assert SwapTestFidelityEstimator(builder, backend=IdealBackend()).supports_batch is True
-        assert (
-            SwapTestFidelityEstimator(builder, backend=SampledBackend(shots=64)).supports_batch
-            is True
-        )
-        assert SwapTestFidelityEstimator(builder, backend=ibmq_london()).supports_batch is True
+        """Every backend runs sweeps, so the flag no longer depends on it."""
 
-        class LoopOnlyBackend(IdealBackend):
-            supports_batch = False
+        class LoopOnlyBackend(Backend):
+            def run(self, circuit, shots=None):
+                return IdealBackend().run(circuit, shots=shots)
 
-        assert (
-            SwapTestFidelityEstimator(builder, backend=LoopOnlyBackend()).supports_batch is False
-        )
+        for backend in (
+            IdealBackend(),
+            SampledBackend(shots=64),
+            ibmq_london(),
+            LoopOnlyBackend(),
+        ):
+            assert SwapTestFidelityEstimator(builder, backend=backend).supports_batch is True
 
-    def test_supports_batch_tracks_backend_swaps(self, builder):
-        """The flag is derived live — swapping the backend must update it."""
-
-        class LoopOnlyBackend(IdealBackend):
-            supports_batch = False
-
-        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend())
+    def test_supports_batch_tracks_backend_swaps(self, builder, parameters, samples):
+        """Swapping ``backend`` sends the next sweep to the new backend."""
+        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=64)
+        estimator.backend = ibmq_london(seed=0)
         assert estimator.supports_batch is True
-        estimator.backend = LoopOnlyBackend()
-        assert estimator.supports_batch is False
+        estimator.fidelities(parameters, samples)
+        assert estimator.backend.ledger.num_jobs == len(samples)
 
     def test_supports_batch_assignment_pins_an_override(self, builder):
         """``estimator.supports_batch = False`` forces the loop path (trainer idiom)."""
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend())
         estimator.supports_batch = False
         assert estimator.supports_batch is False
-        estimator.supports_batch = None  # resume tracking the backend
+        del estimator.supports_batch  # back to the class default
         assert estimator.supports_batch is True
 
     def test_exact_fidelities_match_per_circuit_loop(self, builder, parameters, samples):
@@ -327,27 +331,27 @@ class TestSwapTestBatchedPath:
         stack = LayerStack.from_architecture("s", encoder.num_qubits(4))
         bounded = DiscriminatorCircuitBuilder(stack, encoder, 4, data_circuit_cache_size=2)
         estimator = SwapTestFidelityEstimator(bounded, backend=IdealBackend(), shots=None)
-        estimator.backend.supports_grid_programs = False  # exercise the stream path
         rng = np.random.default_rng(24)
-        estimator.fidelities(parameters, rng.uniform(0.05, 0.95, size=(5, 4)))
+        for row in rng.uniform(0.05, 0.95, size=(5, 4)):
+            estimator.fidelity(parameters, row)  # the per-element path builds circuits
         assert len(bounded._data_bound_cache) == 2
 
     def test_clear_cache_drops_memoised_circuits(self, builder, parameters, samples):
         estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        estimator.backend.supports_grid_programs = False  # exercise the stream path
-        estimator.fidelities(parameters, samples)
+        for row in samples:
+            estimator.fidelity(parameters, row)  # the per-element path builds circuits
         assert len(builder._data_bound_cache) > 0
         estimator.clear_cache()
         assert len(builder._data_bound_cache) == 0
 
     def test_cached_discriminator_reused_across_estimators(self, builder, parameters, samples):
         first = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        first.backend.supports_grid_programs = False  # exercise the stream path
-        first.fidelities(parameters, samples)
+        for row in samples:
+            first.fidelity(parameters, row)
         cached = len(builder._data_bound_cache)
         second = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
-        second.backend.supports_grid_programs = False
-        second.fidelities(parameters, samples)
+        for row in samples:
+            second.fidelity(parameters, row)
         assert len(builder._data_bound_cache) == cached
 
     def test_invalid_configuration_rejected(self, builder):
@@ -377,3 +381,60 @@ class TestSwapTestBatchedPath:
             seed=0,
         )
         assert Trainer(model)._uses_batched_path() is True
+
+
+def make_encoder_builder(encoder, num_features: int = 4) -> DiscriminatorCircuitBuilder:
+    stack = LayerStack.from_architecture("s", encoder.num_qubits(num_features))
+    return DiscriminatorCircuitBuilder(stack, encoder, num_features)
+
+
+class TestEncodersWithoutAngleColumns:
+    """Amplitude and basis encoders sweep through the per-element ``run`` loop."""
+
+    def test_basis_encoder_mixed_bit_patterns_match_the_loop(self):
+        """Samples thresholding to different bit patterns bind different X gates."""
+        builder = make_encoder_builder(BasisEncoder())
+        samples = np.array(
+            [[0.9, 0.1, 0.8, 0.2], [0.1, 0.9, 0.2, 0.8], [0.9, 0.9, 0.1, 0.1]]
+        )
+        matrix = np.random.default_rng(30).uniform(0, np.pi, size=(2, builder.num_parameters))
+        swept = SwapTestFidelityEstimator(
+            builder, backend=SampledBackend(shots=256, seed=31), shots=256
+        ).fidelity_matrix(matrix, samples)
+        loop_estimator = SwapTestFidelityEstimator(
+            builder, backend=SampledBackend(shots=256, seed=31), shots=256
+        )
+        loop = np.array(
+            [[loop_estimator.fidelity(row, sample) for sample in samples] for row in matrix]
+        )
+        np.testing.assert_array_equal(swept, loop)
+
+    def test_amplitude_encoder_fidelities_match_analytic(self, samples):
+        builder = make_encoder_builder(AmplitudeEncoder())
+        parameters = np.random.default_rng(32).uniform(0, np.pi, builder.num_parameters)
+        estimator = SwapTestFidelityEstimator(builder, backend=IdealBackend(), shots=None)
+        np.testing.assert_allclose(
+            estimator.fidelities(parameters, samples),
+            AnalyticFidelityEstimator(builder).fidelities(parameters, samples),
+            atol=1e-9,
+        )
+        assert estimator.circuits_executed == len(samples)
+
+
+class TestAnalyticCachesArePrecisionKeyed:
+    """A warm estimator must give the same single-precision result as a cold one."""
+
+    @pytest.mark.parametrize("encoder", [DualAngleEncoder(), AmplitudeEncoder()])
+    def test_warm_single_precision_sweep_equals_cold(self, encoder, samples):
+        builder = make_encoder_builder(encoder)
+        matrix = np.random.default_rng(33).uniform(0, np.pi, size=(3, builder.num_parameters))
+        warm = AnalyticFidelityEstimator(builder)
+        warm.fidelity_matrix(matrix, samples)  # fills the caches at double precision
+        with arrays.precision("single"):
+            warm_single = warm.fidelity_matrix(matrix, samples)
+            cold_single = AnalyticFidelityEstimator(builder).fidelity_matrix(matrix, samples)
+        np.testing.assert_array_equal(warm_single, cold_single)
+        np.testing.assert_array_equal(
+            warm.fidelity_matrix(matrix, samples),
+            AnalyticFidelityEstimator(builder).fidelity_matrix(matrix, samples),
+        )

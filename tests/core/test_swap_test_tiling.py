@@ -153,12 +153,15 @@ class TestCompileOnceCaches:
         cache = estimator.backend._transpile_cache
         assert len(cache) == 1
         entry = next(iter(cache._entries._entries.values()))
-        program_first = entry.ensure_program()
+        # The program the backend executes: fused against its own noise model
+        # when REPRO_OPTIMIZE_PROGRAMS is on, the source program otherwise.
+        noise = estimator.backend._simulator.noise_model
+        program_first = entry.ensure_program(noise_model=noise)
         engine = estimator.backend._simulator._program_engine()
         assert engine.plans_compiled == 1
         estimator.fidelity_matrix(parameter_matrix[:2], samples)
         estimator.fidelity_matrix(parameter_matrix, samples)
-        assert entry.ensure_program() is program_first
+        assert entry.ensure_program(noise_model=noise) is program_first
         assert engine.plans_compiled == 1  # no re-planning on repeat sweeps
         stats = estimator.backend.transpile_cache_stats
         assert stats["misses"] == 1

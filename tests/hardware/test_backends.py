@@ -22,6 +22,23 @@ def discriminator_circuit() -> QuantumCircuit:
     return model.discriminator_circuit(0, np.array([0.2, 0.7, 0.4, 0.9]))
 
 
+def p_zero(backend, circuit, shots=None) -> float:
+    """The SWAP-test readout ``P(ancilla = 0)`` of one run."""
+    return backend.run(circuit, shots=shots).marginal_probability(0, value=0)
+
+
+def grid_sweep(backend, samples, shots):
+    """Class 0 of a seeded QC-S model against ``samples``, as one grid sweep."""
+    model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
+    builder = model.builder
+    return backend.sweep_grid_zero_probabilities(
+        builder.symbolic_discriminator(),
+        builder.grid_parameters,
+        builder.grid_bindings(model.parameters_[:1], samples),
+        shots=shots,
+    )
+
+
 class TestFactories:
     def test_site_factories(self):
         assert ibmq_london().name == "ibmq_london"
@@ -71,15 +88,15 @@ class TestExecution:
     def test_noise_pulls_swap_test_towards_half(self):
         """Hardware noise dilutes P(ancilla=0) towards 0.5 relative to the ideal value."""
         circuit = discriminator_circuit()
-        ideal = IdealBackend().ancilla_zero_probability(circuit)
-        noisy = ibmq_melbourne(seed=0).ancilla_zero_probability(circuit, shots=None)
+        ideal = p_zero(IdealBackend(), circuit)
+        noisy = p_zero(ibmq_melbourne(seed=0), circuit)
         assert abs(noisy - 0.5) < abs(ideal - 0.5)
 
     def test_ionq_closer_to_ideal_than_ibmq(self):
         circuit = discriminator_circuit()
-        ideal = IdealBackend().ancilla_zero_probability(circuit)
-        ionq_p = ionq(seed=0).ancilla_zero_probability(circuit, shots=None)
-        ibmq_p = ibmq_cairo(seed=0).ancilla_zero_probability(circuit, shots=None)
+        ideal = p_zero(IdealBackend(), circuit)
+        ionq_p = p_zero(ionq(seed=0), circuit)
+        ibmq_p = p_zero(ibmq_cairo(seed=0), circuit)
         assert abs(ionq_p - ideal) < abs(ibmq_p - ideal)
 
     def test_job_ledger_summary(self):
@@ -102,22 +119,21 @@ class TestExecution:
 
 class TestBatchExecution:
     def test_batch_counts_seed_match_the_run_loop(self):
-        """The vectorised noisy batch draws shot for shot like sequential runs."""
+        """A noisy grid sweep draws shot for shot like sequential runs."""
         model = QuClassi(num_features=4, num_classes=2, architecture="s", seed=0)
-        rng = np.random.default_rng(0)
-        circuits = [
-            model.discriminator_circuit(0, rng.uniform(0, 1, 4)) for _ in range(4)
-        ]
-        batched = ibmq_london(seed=7).run_batch(circuits, shots=300)
+        samples = np.random.default_rng(0).uniform(0, 1, size=(4, 4))
+        swept = grid_sweep(ibmq_london(seed=7), samples, shots=300)
         loop_backend = ibmq_london(seed=7)
-        looped = [loop_backend.run(circuit, shots=300) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [
+            p_zero(loop_backend, model.discriminator_circuit(0, sample), shots=300)
+            for sample in samples
+        ]
+        np.testing.assert_array_equal(swept, looped)
 
     @pytest.mark.parametrize("factory", [ibmq_london, ionq])
     def test_batch_records_every_job_in_the_ledger(self, factory):
         backend = factory(seed=0)
-        circuit = discriminator_circuit()
-        backend.run_batch([circuit, circuit.copy(), circuit.copy()], shots=128)
+        grid_sweep(backend, np.tile([0.2, 0.7, 0.4, 0.9], (3, 1)), shots=128)
         assert backend.ledger.num_jobs == 3
         assert backend.ledger.total_shots == 3 * 128
         assert all(record.cx_count >= 0 for record in backend.ledger.records)
@@ -148,7 +164,7 @@ class TestQueueLatencySimulation:
     def test_batch_is_one_job_submission(self, monkeypatch):
         slept = self._sleep_recorder(monkeypatch)
         backend = IBMQBackend("ibmq_london", seed=0, simulate_queue_latency=True)
-        backend.run_batch([discriminator_circuit()] * 3, shots=32)
+        grid_sweep(backend, np.tile([0.2, 0.7, 0.4, 0.9], (3, 1)), shots=32)
         assert slept == [backend.properties.queue_latency_seconds]
 
     def test_latency_does_not_change_sampled_counts(self, monkeypatch):

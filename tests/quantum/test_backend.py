@@ -14,6 +14,7 @@ from repro.quantum.backend import (
 )
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
+from repro.quantum.operations import Parameter
 from repro.quantum.topology import CouplingMap
 
 
@@ -54,7 +55,9 @@ class TestIdealBackend:
     def test_ancilla_zero_probability(self):
         qc = QuantumCircuit(1, 1)
         qc.measure(0, 0)
-        assert IdealBackend().ancilla_zero_probability(qc) == pytest.approx(1.0)
+        assert IdealBackend().run(qc).marginal_probability(0, value=0) == pytest.approx(1.0)
+        swept = IdealBackend().sweep_grid_zero_probabilities(qc, [], np.zeros((1, 0)))
+        assert swept == pytest.approx([1.0])
 
 
 class TestSampledBackend:
@@ -121,6 +124,33 @@ def rotation_circuit(angles) -> QuantumCircuit:
     return qc
 
 
+#: Binding columns of the symbolic :func:`rotation_circuit`.
+ANGLES = [Parameter(f"a{index}") for index in range(3)]
+
+
+def grid_sweep(backend, rows, shots=None):
+    """``P(bit 0 = 0)`` of the symbolic rotation circuit over ``rows``."""
+    return backend.sweep_grid_zero_probabilities(
+        rotation_circuit(ANGLES), ANGLES, np.asarray(rows, dtype=float), shots=shots
+    )
+
+
+def run_loop(backend, rows, shots=None):
+    """The reference: one bound circuit per row through ``Backend.run``."""
+    return [backend.run(rotation_circuit(row), shots=shots) for row in rows]
+
+
+class RecordingBackend(NoisyBackend):
+    """Noisy backend that keeps every per-element result it accounts for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+
+    def _record_job(self, result):
+        self.records.append(result)
+
+
 class TestShotsValidation:
     """shots=0 must raise, never silently fall back to a default count."""
 
@@ -146,13 +176,14 @@ class TestShotsValidation:
             NoisyBackend(make_device(), seed=0).run(ghz_circuit(), shots=0)
 
     def test_run_batch_rejects_zero_shots(self):
+        """Grid sweeps validate shots like ``run`` does."""
         for backend in (
             IdealBackend(),
             SampledBackend(shots=64, seed=0),
             NoisyBackend(make_device(), seed=0),
         ):
             with pytest.raises(BackendError):
-                backend.run_batch([ghz_circuit()], shots=0)
+                grid_sweep(backend, [[0.1, 0.2, 0.3]], shots=0)
 
     def test_negative_shots_rejected_everywhere(self):
         for backend in (
@@ -166,54 +197,65 @@ class TestShotsValidation:
 
 class TestSupportsBatch:
     def test_simulator_backends_advertise_batch_support(self):
-        assert IdealBackend().supports_batch is True
-        assert SampledBackend(shots=64).supports_batch is True
-        assert NoisyBackend(make_device()).supports_batch is True
+        """Every shipped backend compiles grid sweeps instead of looping ``run``."""
+        for backend in (IdealBackend(), SampledBackend(shots=64), NoisyBackend(make_device())):
+            method = type(backend).sweep_grid_zero_probabilities
+            assert method is not Backend.sweep_grid_zero_probabilities
 
     def test_base_backend_defaults_to_no_batch_support(self):
+        """A backend with only ``run`` sweeps by looping it, one call per element."""
+
         class MinimalBackend(Backend):
+            def __init__(self):
+                self.calls = 0
+
             def run(self, circuit, shots=None):
+                self.calls += 1
                 return IdealBackend().run(circuit, shots=shots)
 
-        assert MinimalBackend().supports_batch is False
+        backend = MinimalBackend()
+        rows = np.random.default_rng(4).uniform(0, np.pi, size=(3, 3))
+        np.testing.assert_allclose(
+            grid_sweep(backend, rows), grid_sweep(IdealBackend(), rows), atol=1e-12
+        )
+        assert backend.calls == 3
 
 
 class TestRunBatch:
+    """``sweep_grid_zero_probabilities`` against the ``run`` loop it replaces."""
+
     def test_exact_batch_matches_per_circuit_runs(self):
-        rng = np.random.default_rng(5)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(7)]
-        backend = IdealBackend()
-        batched = backend.run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = IdealBackend().run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+        rows = np.random.default_rng(5).uniform(0, np.pi, size=(7, 3))
+        swept = grid_sweep(IdealBackend(), rows)
+        looped = [r.marginal_probability(0, value=0) for r in run_loop(IdealBackend(), rows)]
+        np.testing.assert_allclose(swept, looped, atol=1e-12)
 
     def test_sampled_batch_seed_matches_per_circuit_loop(self):
-        rng = np.random.default_rng(6)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(5)]
-        batched = SampledBackend(shots=300, seed=9).run_batch(circuits)
-        loop_backend = SampledBackend(shots=300, seed=9)
-        looped = [loop_backend.run(circuit) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        rows = np.random.default_rng(6).uniform(0, np.pi, size=(5, 3))
+        swept = grid_sweep(SampledBackend(shots=300, seed=9), rows)
+        looped = run_loop(SampledBackend(shots=300, seed=9), rows)
+        np.testing.assert_array_equal(
+            swept, [r.marginal_probability(0, value=0) for r in looped]
+        )
 
     def test_ancilla_zero_probabilities_matches_scalar_helper(self):
-        rng = np.random.default_rng(7)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(4)]
+        rows = np.random.default_rng(7).uniform(0, np.pi, size=(4, 3))
         backend = IdealBackend()
-        vector = backend.ancilla_zero_probabilities(circuits, shots=None)
-        scalars = [backend.ancilla_zero_probability(c, shots=None) for c in circuits]
+        vector = grid_sweep(backend, rows)
+        scalars = [
+            backend.run(rotation_circuit(row)).marginal_probability(0, value=0)
+            for row in rows
+        ]
         np.testing.assert_allclose(vector, scalars, atol=1e-12)
 
     def test_empty_batch_yields_empty_results_on_every_backend(self):
         for backend in (
             IdealBackend(),
             SampledBackend(shots=64, seed=0),
-            NoisyBackend(make_device(), seed=0),
+            RecordingBackend(make_device(), seed=0),
         ):
-            assert backend.run_batch([]) == []
-            assert backend.ancilla_zero_probabilities([]).shape == (0,)
+            assert grid_sweep(backend, np.zeros((0, 3))).shape == (0,)
+        assert backend.records == []
 
     def test_base_class_run_batch_loops_run(self):
         class CountingBackend(Backend):
@@ -226,62 +268,61 @@ class TestRunBatch:
                 return self._inner.run(circuit, shots=shots)
 
         backend = CountingBackend()
-        circuits = [rotation_circuit([0.1, 0.2, 0.3]), rotation_circuit([0.4, 0.5, 0.6])]
-        results = backend.run_batch(circuits, shots=None)
+        zeros = grid_sweep(backend, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
         assert backend.calls == 2
-        assert len(results) == 2
+        assert zeros.shape == (2,)
 
     def test_noisy_batch_seed_matches_per_circuit_loop(self):
-        rng = np.random.default_rng(8)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(4)]
-        batched = NoisyBackend(make_device(), seed=3).run_batch(circuits, shots=200)
-        loop_backend = NoisyBackend(make_device(), seed=3)
-        looped = [loop_backend.run(circuit, shots=200) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        rows = np.random.default_rng(8).uniform(0, np.pi, size=(4, 3))
+        backend = RecordingBackend(make_device(), seed=3)
+        grid_sweep(backend, rows, shots=200)
+        looped = run_loop(NoisyBackend(make_device(), seed=3), rows, shots=200)
+        assert [r.counts.data for r in backend.records] == [r.counts.data for r in looped]
 
     def test_noisy_batch_exact_probabilities_match_loop(self):
-        rng = np.random.default_rng(12)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(5)]
-        batched = NoisyBackend(make_device(), seed=0).run_batch(circuits, shots=None)
-        loop_backend = NoisyBackend(make_device(), seed=0)
-        for circuit, result in zip(circuits, batched):
-            single = loop_backend.run(circuit, shots=None)
+        rows = np.random.default_rng(12).uniform(0, np.pi, size=(5, 3))
+        backend = RecordingBackend(make_device(), seed=0)
+        grid_sweep(backend, rows)
+        looped = run_loop(NoisyBackend(make_device(), seed=0), rows)
+        for result, single in zip(backend.records, looped):
             assert set(result.probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
                 assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_noisy_batch_is_vectorised_and_reports_metadata(self):
-        """A structure-sharing sweep runs through the batched density engine."""
-        rng = np.random.default_rng(13)
-        circuits = [rotation_circuit(rng.uniform(0, np.pi, 3)) for _ in range(3)]
-        backend = NoisyBackend(make_device(), seed=0)
-        results = backend.run_batch(circuits, shots=100)
-        for result in results:
+        """A grid sweep runs the compiled program and ledgers every element."""
+        rows = np.random.default_rng(13).uniform(0, np.pi, size=(3, 3))
+        backend = RecordingBackend(make_device(), seed=0)
+        grid_sweep(backend, rows, shots=100)
+        assert len(backend.records) == 3
+        for result in backend.records:
             assert result.metadata["batched"] is True
             assert result.metadata["batch_size"] == 3
             assert result.metadata["backend"] == backend.name
             assert result.metadata["transpile"]["cx_count"] >= 0
             assert result.metadata["queue_latency_seconds"] == pytest.approx(42.0)
-        # One symbolic transpilation, then flat re-binds.
+        # One symbolic transpilation per sweep; a repeat sweep hits the cache.
         assert backend.transpile_cache_stats["misses"] == 1
-        assert backend.transpile_cache_stats["hits"] == 2
+        grid_sweep(backend, rows, shots=100)
+        assert backend.transpile_cache_stats["hits"] == 1
 
     def test_noisy_batch_enforces_shot_limit(self):
         backend = NoisyBackend(make_device(), seed=0)
         with pytest.raises(BackendError):
-            backend.run_batch([rotation_circuit([0.1, 0.2, 0.3])], shots=100_000)
+            grid_sweep(backend, [[0.1, 0.2, 0.3]], shots=100_000)
 
     def test_noisy_batch_rejects_too_wide_circuit(self):
         backend = NoisyBackend(make_device(num_qubits=3), seed=0)
         with pytest.raises(BackendError):
-            backend.run_batch([ghz_circuit(4)], shots=64)
+            backend.sweep_grid_zero_probabilities(ghz_circuit(4), [], np.zeros((1, 0)), shots=64)
 
     def test_noisy_batch_default_shots_match_run_default(self):
-        circuit = rotation_circuit([0.4, 0.8, 1.2])
-        batched = NoisyBackend(make_device(), seed=2).run_batch([circuit])
-        single = NoisyBackend(make_device(), seed=2).run(circuit)
-        assert batched[0].shots == single.shots == 1024
-        assert batched[0].counts.data == single.counts.data
+        row = [0.4, 0.8, 1.2]
+        backend = RecordingBackend(make_device(), seed=2)
+        grid_sweep(backend, [row])
+        single = NoisyBackend(make_device(), seed=2).run(rotation_circuit(row))
+        assert backend.records[0].shots == single.shots == 1024
+        assert backend.records[0].counts.data == single.counts.data
 
 
 class TestNoisyBackendTranspileCache:

@@ -7,6 +7,8 @@ from repro.exceptions import SimulationError
 from repro.quantum import gates
 from repro.quantum.batched import BatchedStatevector
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Parameter
+from repro.quantum.program import StatevectorEngine, SweepProgram
 from repro.quantum.statevector import Statevector
 
 
@@ -152,29 +154,31 @@ class TestBatchedApplyMatrix:
 
 
 class TestBatchedEvolveAndProgram:
+    """Whole-circuit evolution of a batch goes through a compiled SweepProgram."""
+
     def test_evolve_matches_per_sample_statevector(self):
         circuit = QuantumCircuit(QUBITS)
         circuit.h(0).ry(0.4, 1).cx(0, 2).rz(-0.7, 2).cry(1.1, 1, 2)
-        batch = BatchedStatevector(BATCH, QUBITS).evolve(circuit)
+        program = SweepProgram.compile(circuit, bind_floats=False)
+        batch = program.evolve(np.zeros((BATCH, 0)), StatevectorEngine())
         single = Statevector(QUBITS).evolve(circuit)
         for element in range(BATCH):
             np.testing.assert_allclose(batch.amplitudes[element], single.data, atol=1e-12)
 
     def test_evolve_rejects_measurement(self):
+        """A gate after a measurement cannot be deferred, so it never compiles."""
         circuit = QuantumCircuit(1, 1)
-        circuit.h(0).measure(0, 0)
+        circuit.h(0).measure(0, 0).h(0)
         with pytest.raises(SimulationError):
-            BatchedStatevector(2, 1).evolve(circuit)
+            SweepProgram.compile(circuit, bind_floats=False)
 
     def test_apply_program_mixed_slots(self):
-        program = [
-            ("h", (0,), ()),
-            ("ry", (0,), (("index", 0),)),
-            ("rz", (1,), (("value", 0.3),)),
-            ("cry", (0, 1), (("index", 1),)),
-        ]
+        theta, phi = Parameter("theta"), Parameter("phi")
+        circuit = QuantumCircuit(2)
+        circuit.h(0).ry(theta, 0).rz(0.3, 1).cry(phi, 0, 1)
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=[theta, phi])
         matrix = np.random.default_rng(5).uniform(-np.pi, np.pi, (BATCH, 2))
-        batch = BatchedStatevector(BATCH, 2).apply_program(program, matrix)
+        batch = program.evolve(matrix, StatevectorEngine())
         for element in range(BATCH):
             single = Statevector(2)
             single.apply_matrix(gates.HADAMARD, (0,))
@@ -184,11 +188,14 @@ class TestBatchedEvolveAndProgram:
             np.testing.assert_allclose(batch.amplitudes[element], single.data, atol=1e-12)
 
     def test_apply_program_validates_parameter_matrix(self):
-        state = BatchedStatevector(2, 1)
+        theta = Parameter("theta")
+        circuit = QuantumCircuit(1)
+        circuit.ry(theta, 0)
+        program = SweepProgram.compile(circuit, bind_floats=False, parameters=[theta])
         with pytest.raises(SimulationError):
-            state.apply_program([], np.zeros(3))
+            program.evolve(np.zeros(3), StatevectorEngine())
         with pytest.raises(SimulationError):
-            state.apply_program([], np.zeros((3, 1)))
+            program.evolve(np.zeros((3, 2)), StatevectorEngine())
 
 
 class TestBatchedProbabilitiesAndFidelities:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.quantum import gates
-from repro.quantum.batched_density import BatchedDensityMatrix
+from repro.quantum.batched_density import BatchedDensityMatrix, channel_superoperator
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import (
@@ -13,10 +13,17 @@ from repro.quantum.noise import (
     depolarizing_kraus,
     thermal_relaxation_kraus,
 )
+from repro.quantum.program import DensitySuperoperatorEngine, SweepProgram
 
 
 def random_angles(batch, count, seed):
     return np.random.default_rng(seed).uniform(0, np.pi, size=(batch, count))
+
+
+def evolve(circuit, batch):
+    """A ``batch``-element stack evolved through the compiled density engine."""
+    program = SweepProgram.compile(circuit, bind_floats=False)
+    return program.evolve(np.zeros((batch, 0)), DensitySuperoperatorEngine())
 
 
 class TestConstruction:
@@ -77,7 +84,7 @@ class TestUnitaryEvolution:
     def test_shared_matrix_matches_per_element_loop(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 2).ry(0.4, 1).cswap(0, 1, 2)
-        stack = BatchedDensityMatrix(4, 3).evolve(qc)
+        stack = evolve(qc, 4)
         single = DensityMatrix(3).evolve(qc)
         for element in range(4):
             np.testing.assert_allclose(
@@ -109,14 +116,15 @@ class TestUnitaryEvolution:
             stack.apply_matrix(np.stack([np.eye(2)] * 3), (0,))
 
     def test_evolve_rejects_measurement_and_reset(self):
+        """Gates after a measurement and resets never compile into a sweep."""
         measured = QuantumCircuit(1, 1)
-        measured.measure(0, 0)
+        measured.measure(0, 0).h(0)
         with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).evolve(measured)
+            evolve(measured, 1)
         resetting = QuantumCircuit(1)
         resetting.reset(0)
         with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).evolve(resetting)
+            evolve(resetting, 1)
 
 
 class TestChannels:
@@ -131,7 +139,7 @@ class TestChannels:
     def test_single_qubit_channels_match_loop(self, kraus):
         stack = BatchedDensityMatrix(3, 2)
         stack.apply_matrix(gates.HADAMARD, (0,))
-        stack.apply_kraus(kraus, (0,))
+        stack.apply_superoperator(channel_superoperator(kraus), (0,))
         single = DensityMatrix(2)
         single.apply_matrix(gates.HADAMARD, (0,))
         single.apply_kraus(kraus, (0,))
@@ -143,19 +151,19 @@ class TestChannels:
     def test_two_qubit_channel_preserves_traces(self):
         stack = BatchedDensityMatrix(4, 2)
         stack.apply_matrix(gates.HADAMARD, (0,))
-        stack.apply_kraus(depolarizing_kraus(0.4, 2), (0, 1))
+        stack.apply_superoperator(channel_superoperator(depolarizing_kraus(0.4, 2)), (0, 1))
         np.testing.assert_allclose(stack.traces(), np.ones(4), atol=1e-12)
         assert np.all(stack.purities() < 1.0)
 
     def test_full_depolarization_gives_maximally_mixed(self):
         stack = BatchedDensityMatrix(2, 1)
-        stack.apply_kraus(depolarizing_kraus(1.0), (0,))
+        stack.apply_superoperator(channel_superoperator(depolarizing_kraus(1.0)), (0,))
         np.testing.assert_allclose(
             stack.matrices, np.stack([np.eye(2) / 2] * 2), atol=1e-12
         )
 
     def test_per_element_kraus_stack(self):
-        """A (batch, 2, 2) Kraus operator applies element-wise."""
+        """A (batch, 4, 4) channel superoperator stack applies element-wise."""
         gammas = np.array([0.0, 1.0])
         k0 = np.stack([np.diag([1.0, np.sqrt(1 - g)]) for g in gammas]).astype(complex)
         k1 = np.stack(
@@ -163,20 +171,23 @@ class TestChannels:
         ).astype(complex)
         stack = BatchedDensityMatrix(2, 1)
         stack.apply_matrix(gates.PAULI_X, (0,))
-        stack.apply_kraus([k0, k1], (0,))
+        superops = np.stack(
+            [channel_superoperator([k0[element], k1[element]]) for element in range(2)]
+        )
+        stack.apply_superoperator(superops, (0,))
         # gamma=0 leaves |1>, gamma=1 decays to |0>.
         np.testing.assert_allclose(stack.probabilities(), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_empty_channel_rejected(self):
         with pytest.raises(SimulationError):
-            BatchedDensityMatrix(1, 1).apply_kraus([], (0,))
+            channel_superoperator([])
 
 
 class TestProbabilities:
     def test_marginalisation_matches_density_matrix(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).ry(0.9, 2)
-        stack = BatchedDensityMatrix(2, 3).evolve(qc)
+        stack = evolve(qc, 2)
         single = DensityMatrix(3).evolve(qc)
         for qubits in [(0,), (2, 0), (1, 2)]:
             np.testing.assert_allclose(

@@ -1,9 +1,10 @@
-"""Tests for the vectorised batch path of :class:`DensityMatrixSimulator`.
+"""Sweep execution of :class:`DensityMatrixSimulator` against its ``run`` loop.
 
 The noisy counterpart of ``test_run_batch.py``: a structure-sharing sweep
-must evolve as one :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-pass whose counts are seed-identical (draw for draw) to the per-circuit loop,
-under gate noise and readout error alike.
+runs as one compiled grid program whose precomposed superoperators evolve
+:class:`~repro.quantum.batched_density.BatchedDensityMatrix` tiles, and its
+counts must be seed-identical (draw for draw) to a loop of
+:meth:`DensityMatrixSimulator.run`, under gate noise and readout error alike.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_kraus
 from repro.quantum.operations import Parameter
 from repro.quantum.simulator import DensityMatrixSimulator
+
+ANGLES = [Parameter(f"a{index}") for index in range(4)]
 
 
 def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
@@ -28,9 +31,18 @@ def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
     return qc
 
 
-def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 4)) for _ in range(count)]
+def random_rows(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 4))
+
+
+def sweep(simulator, rows, shots=None):
+    """One compiled grid sweep of the symbolic circuit over ``rows``."""
+    program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
+    return simulator.run_sweep_program(program, np.asarray(rows, dtype=float), shots=shots)
+
+
+def loop(simulator, rows, shots):
+    return [simulator.run(sweep_circuit(row), shots=shots) for row in rows]
 
 
 def noisy_model() -> NoiseModel:
@@ -41,127 +53,141 @@ def noisy_model() -> NoiseModel:
 
 class TestVectorisedPath:
     def test_exact_probabilities_match_per_circuit_runs(self):
-        circuits = random_sweep(7, seed=0)
-        batched = DensityMatrixSimulator(noisy_model()).run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = DensityMatrixSimulator(noisy_model()).run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
+        rows = random_rows(7, seed=0)
+        readout = sweep(DensityMatrixSimulator(noisy_model()), rows)
+        for row, probabilities in zip(rows, readout.probabilities):
+            single = DensityMatrixSimulator(noisy_model()).run(sweep_circuit(row), shots=None)
+            assert set(probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_density_matrices_match_per_circuit_runs(self):
-        circuits = random_sweep(4, seed=1)
-        batched = DensityMatrixSimulator(noisy_model()).run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = DensityMatrixSimulator(noisy_model()).run(circuit, shots=None)
+        rows = random_rows(4, seed=1)
+        simulator = DensityMatrixSimulator(noisy_model())
+        program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
+        state = program.evolve(rows, simulator._program_engine())
+        for index, row in enumerate(rows):
+            single = DensityMatrixSimulator(noisy_model()).run(sweep_circuit(row), shots=None)
             np.testing.assert_allclose(
-                result.density_matrix.data, single.density_matrix.data, atol=1e-12
+                state.density_matrix(index).data, single.density_matrix.data, atol=1e-12
             )
 
     def test_sampled_counts_seed_match_the_loop(self):
         """One stacked multinomial call must consume the RNG like the loop."""
-        circuits = random_sweep(6, seed=2)
-        batched = DensityMatrixSimulator(noisy_model(), seed=11).run_batch(
-            circuits, shots=500
-        )
-        loop_sim = DensityMatrixSimulator(noisy_model(), seed=11)
-        looped = [loop_sim.run(circuit, shots=500) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        rows = random_rows(6, seed=2)
+        readout = sweep(DensityMatrixSimulator(noisy_model(), seed=11), rows, shots=500)
+        looped = loop(DensityMatrixSimulator(noisy_model(), seed=11), rows, 500)
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
 
     def test_seed_match_with_gate_noise_only(self):
         noise = NoiseModel().add_all_qubit_error(depolarizing_kraus(0.02), 1)
-        circuits = random_sweep(5, seed=3)
-        batched = DensityMatrixSimulator(noise, seed=5).run_batch(circuits, shots=256)
-        loop_sim = DensityMatrixSimulator(noise, seed=5)
-        looped = [loop_sim.run(circuit, shots=256) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        rows = random_rows(5, seed=3)
+        readout = sweep(DensityMatrixSimulator(noise, seed=5), rows, shots=256)
+        looped = loop(DensityMatrixSimulator(noise, seed=5), rows, 256)
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
 
     def test_seed_match_with_readout_error_only(self):
         noise = NoiseModel().add_readout_error(ReadoutError(0.08, 0.03))
-        circuits = random_sweep(5, seed=4)
-        batched = DensityMatrixSimulator(noise, seed=6).run_batch(circuits, shots=256)
-        loop_sim = DensityMatrixSimulator(noise, seed=6)
-        looped = [loop_sim.run(circuit, shots=256) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
-        for batch_result, loop_result in zip(batched, looped):
-            assert batch_result.probabilities == pytest.approx(loop_result.probabilities)
+        rows = random_rows(5, seed=4)
+        readout = sweep(DensityMatrixSimulator(noise, seed=6), rows, shots=256)
+        looped = loop(DensityMatrixSimulator(noise, seed=6), rows, 256)
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+        for probabilities, loop_result in zip(readout.probabilities, looped):
+            assert probabilities == pytest.approx(loop_result.probabilities)
 
     def test_ideal_model_matches_loop(self):
-        circuits = random_sweep(4, seed=5)
-        batched = DensityMatrixSimulator(seed=3).run_batch(circuits, shots=128)
-        loop_sim = DensityMatrixSimulator(seed=3)
-        looped = [loop_sim.run(circuit, shots=128) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        rows = random_rows(4, seed=5)
+        readout = sweep(DensityMatrixSimulator(seed=3), rows, shots=128)
+        looped = loop(DensityMatrixSimulator(seed=3), rows, 128)
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
 
     def test_identical_parameters_share_one_matrix(self):
-        circuits = [sweep_circuit([0.3, 0.7, 0.3, 0.7]) for _ in range(3)]
-        batched = DensityMatrixSimulator(noisy_model()).run_batch(circuits, shots=None)
-        single = DensityMatrixSimulator(noisy_model()).run(circuits[0], shots=None)
-        for result in batched:
+        rows = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
+        readout = sweep(DensityMatrixSimulator(noisy_model()), rows)
+        single = DensityMatrixSimulator(noisy_model()).run(sweep_circuit(rows[0]), shots=None)
+        for probabilities in readout.probabilities:
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_batched_metadata_marks_the_vectorised_engine(self):
-        circuits = random_sweep(2, seed=6)
-        results = DensityMatrixSimulator(noisy_model()).run_batch(circuits, shots=None)
-        assert all(r.metadata.get("batched") for r in results)
-        assert all(r.metadata["batch_size"] == 2 for r in results)
-        assert all(r.metadata["noisy"] for r in results)
+        """Repeat sweeps reuse one compiled program and one noise plan."""
+        simulator = DensityMatrixSimulator(noisy_model())
+        sweep(simulator, random_rows(2, seed=6))
+        sweep(simulator, random_rows(2, seed=7))
+        assert simulator.program_cache_stats == {"hits": 1, "misses": 1, "entries": 1}
+        assert simulator._program_engine().plans_compiled == 1
 
 
 class TestFallbacks:
     def test_mixed_structures_fall_back_to_the_loop(self):
+        """A second structure compiles its own program; both match ``run``."""
         bell = QuantumCircuit(3, 1, name="bell")
         bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        results = DensityMatrixSimulator(noisy_model()).run_batch(circuits, shots=None)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
+        simulator = DensityMatrixSimulator(noisy_model())
+        sweep(simulator, random_rows(1, seed=8))
+        readout = simulator.run_sweep_program(
+            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=None
+        )
+        assert simulator.program_cache_stats["entries"] == 2
         single = DensityMatrixSimulator(noisy_model()).run(bell, shots=None)
         for key, value in single.probabilities.items():
-            assert results[1].probabilities[key] == pytest.approx(value, abs=1e-12)
+            assert readout.probabilities[0][key] == pytest.approx(value, abs=1e-12)
 
     def test_reset_circuits_fall_back_to_the_loop(self):
+        """Resets cannot be compiled into a sweep; ``run`` still executes them."""
         qc = QuantumCircuit(2, 1, name="with_reset")
         qc.h(0).reset(0).measure(0, 0)
-        results = DensityMatrixSimulator(seed=0).run_batch([qc, qc.copy()], shots=64)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
+        simulator = DensityMatrixSimulator(seed=0)
+        with pytest.raises(SimulationError):
+            simulator._grid_program(qc, [])
+        assert simulator.run(qc, shots=64).counts.shots == 64
 
     def test_fallback_sampling_seed_matches_the_loop(self):
+        """Sweeps of two structures share one RNG stream exactly like ``run``."""
         bell = QuantumCircuit(3, 1, name="bell")
         bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        batched = DensityMatrixSimulator(noisy_model(), seed=4).run_batch(
-            circuits, shots=128
-        )
+        row = [0.1, 0.2, 0.3, 0.4]
+        simulator = DensityMatrixSimulator(noisy_model(), seed=4)
+        swept = sweep(simulator, [row], shots=128).counts + simulator.run_sweep_program(
+            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
+        ).counts
         loop_sim = DensityMatrixSimulator(noisy_model(), seed=4)
-        looped = [loop_sim.run(circuit, shots=128) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [loop_sim.run(circuit, shots=128) for circuit in (sweep_circuit(row), bell)]
+        assert [c.data for c in swept] == [r.counts.data for r in looped]
 
 
 class TestValidation:
     def test_empty_batch_yields_empty_results(self):
-        assert DensityMatrixSimulator().run_batch([]) == []
+        readout = sweep(DensityMatrixSimulator(), np.zeros((0, 4)), shots=64)
+        assert readout.probabilities == []
+        assert readout.counts == []
 
     def test_zero_shots_rejected(self):
         with pytest.raises(SimulationError):
-            DensityMatrixSimulator().run_batch(random_sweep(2, seed=7), shots=0)
+            sweep(DensityMatrixSimulator(), random_rows(2, seed=7), shots=0)
 
     def test_unbound_parameters_rejected(self):
+        theta = Parameter("t")
         qc = QuantumCircuit(1, 1)
-        qc.ry(Parameter("t"), 0).measure(0, 0)
+        qc.ry(theta, 0).measure(0, 0)
         with pytest.raises(SimulationError):
-            DensityMatrixSimulator().run_batch([qc, qc.copy()], shots=None)
+            DensityMatrixSimulator().run(qc, shots=None)
+        simulator = DensityMatrixSimulator()
+        program = simulator._grid_program(qc, [theta])
+        with pytest.raises(SimulationError):
+            simulator.run_sweep_program(program, np.zeros((2, 0)), shots=None)
 
     def test_shots_without_measurement_rejected(self):
         qc = QuantumCircuit(1)
         qc.h(0)
+        simulator = DensityMatrixSimulator()
         with pytest.raises(SimulationError):
-            DensityMatrixSimulator().run_batch([qc, qc.copy()], shots=16)
+            simulator.run_sweep_program(
+                simulator._grid_program(qc, []), np.zeros((2, 0)), shots=16
+            )
 
     def test_double_measurement_rejected_in_batch(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0).measure(0, 0).measure(0, 1)
         with pytest.raises(SimulationError):
-            DensityMatrixSimulator().run_batch([qc, qc.copy()], shots=None)
+            DensityMatrixSimulator()._grid_program(qc, [])

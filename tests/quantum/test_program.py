@@ -35,6 +35,11 @@ def random_sweep(count, seed):
     return [sweep_circuit(rng.uniform(0, np.pi, 4)) for _ in range(count)]
 
 
+def bindings_of(program, circuits) -> np.ndarray:
+    """Stacked binding rows of a structure-sharing sweep of bound circuits."""
+    return np.array([program.binding_row(circuit) for circuit in circuits])
+
+
 def zero_one(result) -> np.ndarray:
     return np.array(
         [result.probabilities.get("0", 0.0), result.probabilities.get("1", 0.0)]
@@ -102,7 +107,7 @@ class TestCompile:
         assert program.parameters == ()
         assert program.measured_qubits == (0,)
         assert program.clbits == (0,)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         assert bindings.shape == (5, 4)
         # Column order follows instruction order.
         expected = np.array(
@@ -160,12 +165,14 @@ class TestCompile:
             SweepProgram.compile(qc, bind_floats=True)
 
     def test_matches_structure(self):
+        """Binding extraction accepts sweep siblings and rejects other skeletons."""
         circuits = random_sweep(2, seed=2)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        assert program.matches_structure(circuits[1])
+        assert len(program.binding_row(circuits[1])) == program.num_columns
         other = QuantumCircuit(3, 1)
         other.h(0).cx(0, 1).measure(0, 0)
-        assert not program.matches_structure(other)
+        with pytest.raises(SimulationError):
+            program.binding_row(other)
 
     def test_binding_row_rejects_unbound_site(self):
         circuits = random_sweep(1, seed=3)
@@ -180,7 +187,7 @@ class TestExecutionEquivalence:
         circuits = random_sweep(6, seed=4)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
         joint = program.execute(
-            program.bindings_from_circuits(circuits), StatevectorEngine()
+            bindings_of(program, circuits), StatevectorEngine()
         )
         for circuit, row in zip(circuits, joint):
             np.testing.assert_allclose(
@@ -191,7 +198,7 @@ class TestExecutionEquivalence:
         circuits = random_sweep(5, seed=5)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
         engine = DensitySuperoperatorEngine(NOISE)
-        joint = program.execute(program.bindings_from_circuits(circuits), engine)
+        joint = program.execute(bindings_of(program, circuits), engine)
         simulator = DensityMatrixSimulator(noise_model=NOISE)
         for circuit, row in zip(circuits, joint):
             np.testing.assert_allclose(
@@ -217,7 +224,7 @@ class TestTiledExecution:
     def test_statevector_tiled_bit_identical(self):
         circuits = random_sweep(7, seed=7)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         full = program.execute(bindings, StatevectorEngine())
         for row_tile in (1, 2, 3, 5):
             plan = TilePlan(rows=7, samples=1, row_tile=row_tile, sample_tile=1)
@@ -227,7 +234,7 @@ class TestTiledExecution:
     def test_density_tiled_matches_untiled(self):
         circuits = random_sweep(6, seed=8)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         engine = DensitySuperoperatorEngine(NOISE)
         full = program.execute(bindings, engine)
         for row_tile in (1, 2, 4):
@@ -241,7 +248,7 @@ class TestTiledExecution:
     def test_tile_plan_extent_mismatch_rejected(self):
         circuits = random_sweep(3, seed=9)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         plan = TilePlan(rows=4, samples=1, row_tile=2, sample_tile=1)
         with pytest.raises(SimulationError):
             program.execute(bindings, StatevectorEngine(), tile_plan=plan)
@@ -249,7 +256,7 @@ class TestTiledExecution:
     def test_shared_angle_sweep_keeps_shared_path_under_tiling(self):
         circuits = [sweep_circuit([0.3, 0.7, 0.2, 0.9]) for _ in range(4)]
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         full = program.execute(bindings, StatevectorEngine())
         plan = TilePlan(rows=4, samples=1, row_tile=3, sample_tile=1)
         np.testing.assert_array_equal(
@@ -283,7 +290,7 @@ class TestNoisePrecomposition:
     def test_engine_plans_compile_once_per_program(self):
         circuits = random_sweep(3, seed=11)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         engine = DensitySuperoperatorEngine(NOISE)
         for _ in range(3):
             program.execute(bindings, engine)
@@ -304,7 +311,7 @@ class TestNoisePrecomposition:
         """
         circuits = random_sweep(3, seed=12)
         program = SweepProgram.compile(circuits[0], bind_floats=True)
-        bindings = program.bindings_from_circuits(circuits)
+        bindings = bindings_of(program, circuits)
         model = NoiseModel()
         engine = DensitySuperoperatorEngine(model)
         before = program.execute(bindings, engine)
@@ -321,18 +328,20 @@ class TestNoisePrecomposition:
 
 class TestSimulatorTracksLiveNoiseModel:
     def test_run_batch_matches_run_after_in_place_mutation(self):
-        """run() and run_batch() must agree after the model grows channels."""
-        circuits = random_sweep(2, seed=13)
+        """run() and a grid sweep must agree after the model grows channels."""
+        angles = [Parameter(f"a{index}") for index in range(4)]
+        rows = np.random.default_rng(13).uniform(0, np.pi, size=(2, 4))
         model = NoiseModel()
         simulator = DensityMatrixSimulator(noise_model=model, seed=0)
-        simulator.run_batch(circuits, shots=None)  # plans the ideal model
+        program = simulator._grid_program(sweep_circuit(angles), angles)
+        simulator.run_sweep_program(program, rows, shots=None)  # plans the ideal model
         model.add_all_qubit_error(depolarizing_kraus(0.25, 1), 1)
-        batched = simulator.run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            loop = DensityMatrixSimulator(noise_model=model).run(circuit, shots=None)
-            assert result.probabilities["0"] == pytest.approx(
-                loop.probabilities["0"], abs=1e-10
+        readout = simulator.run_sweep_program(program, rows, shots=None)
+        for row, probabilities in zip(rows, readout.probabilities):
+            loop = DensityMatrixSimulator(noise_model=model).run(
+                sweep_circuit(row), shots=None
             )
+            assert probabilities["0"] == pytest.approx(loop.probabilities["0"], abs=1e-10)
 
 
 class TestBarrierInsensitiveBindings:
@@ -349,7 +358,7 @@ class TestBarrierInsensitiveBindings:
         sibling.measure(0, 0)
         program = SweepProgram.compile(reference, bind_floats=True)
         np.testing.assert_array_equal(
-            program.bindings_from_circuits([reference, sibling]),
+            bindings_of(program, [reference, sibling]),
             [[0.1, 0.2], [0.3, 0.4]],
         )
 

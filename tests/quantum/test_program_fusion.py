@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import SimulationError
 from repro.hardware.calibration import get_calibration
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operations import Parameter
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
     OPTIMIZE_PROGRAMS_ENV,
@@ -117,36 +119,45 @@ def sweep_circuit(angle_row, name="sweep") -> QuantumCircuit:
     return qc
 
 
-def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 3)) for _ in range(count)]
+#: Binding columns of the symbolic :func:`sweep_circuit`.
+ANGLES = [Parameter(f"a{index}") for index in range(3)]
+
+
+def grid_sweep(simulator, rows, shots):
+    """One cached grid-program sweep of the symbolic circuit over ``rows``."""
+    program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
+    return simulator.run_sweep_program(program, rows, shots=shots)
 
 
 class TestSeedBitIdentity:
     """Sampled counts must be bit-identical with fusion on vs off."""
 
     def test_statevector_counts_are_bit_identical(self):
-        circuits = random_sweep(6, seed=3)
-        fused = StatevectorSimulator(seed=11, optimize_programs=True).run_batch(
-            circuits, shots=400
+        rows = np.random.default_rng(3).uniform(0, np.pi, size=(6, 3))
+        fused = grid_sweep(
+            StatevectorSimulator(seed=11, optimize_programs=True), rows, shots=400
         )
-        plain = StatevectorSimulator(seed=11, optimize_programs=False).run_batch(
-            circuits, shots=400
+        plain = grid_sweep(
+            StatevectorSimulator(seed=11, optimize_programs=False), rows, shots=400
         )
-        assert [r.counts.data for r in fused] == [r.counts.data for r in plain]
-        for lhs, rhs in zip(fused, plain):
-            for key, value in rhs.probabilities.items():
-                assert lhs.probabilities[key] == pytest.approx(value, abs=1e-10)
+        assert [c.data for c in fused.counts] == [c.data for c in plain.counts]
+        for lhs, rhs in zip(fused.probabilities, plain.probabilities):
+            for key, value in rhs.items():
+                assert lhs[key] == pytest.approx(value, abs=1e-10)
 
     def test_density_counts_are_bit_identical(self, london):
-        circuits = random_sweep(5, seed=4)
-        fused = DensityMatrixSimulator(
-            noise_model=london, seed=13, optimize_programs=True
-        ).run_batch(circuits, shots=300)
-        plain = DensityMatrixSimulator(
-            noise_model=london, seed=13, optimize_programs=False
-        ).run_batch(circuits, shots=300)
-        assert [r.counts.data for r in fused] == [r.counts.data for r in plain]
+        rows = np.random.default_rng(4).uniform(0, np.pi, size=(5, 3))
+        fused = grid_sweep(
+            DensityMatrixSimulator(noise_model=london, seed=13, optimize_programs=True),
+            rows,
+            shots=300,
+        )
+        plain = grid_sweep(
+            DensityMatrixSimulator(noise_model=london, seed=13, optimize_programs=False),
+            rows,
+            shots=300,
+        )
+        assert [c.data for c in fused.counts] == [c.data for c in plain.counts]
 
     def test_fusion_actually_fires_on_the_sweep_shape(self, london):
         circuit = sweep_circuit([0.3, 0.7, 0.4])
@@ -177,7 +188,10 @@ class TestSeedBitIdentity:
         source = SweepProgram.compile(circuit, bind_floats=True)
         optimized = source.optimized()
         assert optimized.binding_row(sibling) == source.binding_row(sibling)
-        assert optimized.matches_structure(sibling)
+        other = QuantumCircuit(3, 1, name="other")
+        other.h(0).measure(0, 0)
+        with pytest.raises(SimulationError):
+            optimized.binding_row(other)
 
 
 class TestOptInKnobs:
@@ -207,16 +221,16 @@ class TestOptInKnobs:
     def test_simulator_cache_serves_fused_programs_under_env(self, monkeypatch):
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, "1")
         simulator = StatevectorSimulator()
-        program = simulator._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
         assert any(step.fused_from for step in program.steps)
         monkeypatch.delenv(OPTIMIZE_PROGRAMS_ENV)
-        plain = StatevectorSimulator()._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        plain = StatevectorSimulator()._grid_program(sweep_circuit(ANGLES), ANGLES)
         assert not any(step.fused_from for step in plain.steps)
 
     def test_constructor_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv(OPTIMIZE_PROGRAMS_ENV, "1")
         simulator = StatevectorSimulator(optimize_programs=False)
-        program = simulator._sweep_program(sweep_circuit([0.3, 0.7, 0.4]))
+        program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
         assert not any(step.fused_from for step in program.steps)
 
     def test_compile_optimize_flag(self, london):

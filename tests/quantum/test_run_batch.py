@@ -1,4 +1,10 @@
-"""Tests for the vectorised batch path of :class:`StatevectorSimulator`."""
+"""Sweep execution of :class:`StatevectorSimulator` against its ``run`` loop.
+
+A structure-sharing sweep runs as one compiled grid program
+(``_grid_program`` + ``run_sweep_program``); every element must match a
+loop of :meth:`StatevectorSimulator.run` over the bound circuits —
+probabilities to float noise, sampled counts draw for draw.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,10 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Parameter
+from repro.quantum.program import StatevectorEngine, SweepProgram
 from repro.quantum.simulator import StatevectorSimulator
+
+ANGLES = [Parameter(f"a{index}") for index in range(4)]
 
 
 def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
@@ -21,106 +30,133 @@ def sweep_circuit(angles, name="sweep") -> QuantumCircuit:
     return qc
 
 
-def random_sweep(count, seed):
-    rng = np.random.default_rng(seed)
-    return [sweep_circuit(rng.uniform(0, np.pi, 4)) for _ in range(count)]
+def random_rows(count, seed):
+    return np.random.default_rng(seed).uniform(0, np.pi, size=(count, 4))
+
+
+def sweep(simulator, rows, shots=None):
+    """One compiled grid sweep of the symbolic circuit over ``rows``."""
+    program = simulator._grid_program(sweep_circuit(ANGLES), ANGLES)
+    return simulator.run_sweep_program(program, np.asarray(rows, dtype=float), shots=shots)
 
 
 class TestVectorisedPath:
     def test_exact_probabilities_match_per_circuit_runs(self):
-        circuits = random_sweep(9, seed=0)
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = StatevectorSimulator().run(circuit, shots=None)
-            assert set(result.probabilities) == set(single.probabilities)
+        rows = random_rows(9, seed=0)
+        readout = sweep(StatevectorSimulator(), rows)
+        for row, probabilities in zip(rows, readout.probabilities):
+            single = StatevectorSimulator().run(sweep_circuit(row), shots=None)
+            assert set(probabilities) == set(single.probabilities)
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_statevectors_match_per_circuit_runs(self):
-        circuits = random_sweep(4, seed=1)
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        for circuit, result in zip(circuits, batched):
-            single = StatevectorSimulator().run(circuit, shots=None)
+        rows = random_rows(4, seed=1)
+        program = SweepProgram.compile(
+            sweep_circuit(ANGLES), bind_floats=False, parameters=ANGLES
+        )
+        state = program.evolve(rows, StatevectorEngine())
+        for index, row in enumerate(rows):
+            single = StatevectorSimulator().run(sweep_circuit(row), shots=None)
             np.testing.assert_allclose(
-                result.statevector.data, single.statevector.data, atol=1e-12
+                state.statevector(index).data, single.statevector.data, atol=1e-12
             )
 
     def test_sampled_counts_seed_match_the_loop(self):
         """One stacked multinomial call must consume the RNG like the loop."""
-        circuits = random_sweep(6, seed=2)
-        batched = StatevectorSimulator(seed=11).run_batch(circuits, shots=500)
+        rows = random_rows(6, seed=2)
+        readout = sweep(StatevectorSimulator(seed=11), rows, shots=500)
         loop_sim = StatevectorSimulator(seed=11)
-        looped = [loop_sim.run(circuit, shots=500) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [loop_sim.run(sweep_circuit(row), shots=500) for row in rows]
+        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
 
     def test_identical_parameters_share_one_matrix(self):
         """All-equal angles take the shared-matrix branch and stay correct."""
-        circuits = [sweep_circuit([0.3, 0.7, 0.3, 0.7]) for _ in range(3)]
-        batched = StatevectorSimulator().run_batch(circuits, shots=None)
-        single = StatevectorSimulator().run(circuits[0], shots=None)
-        for result in batched:
+        rows = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
+        readout = sweep(StatevectorSimulator(), rows)
+        single = StatevectorSimulator().run(sweep_circuit(rows[0]), shots=None)
+        for probabilities in readout.probabilities:
             for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+                assert probabilities[key] == pytest.approx(value, abs=1e-12)
 
     def test_batched_metadata_marks_the_vectorised_engine(self):
-        circuits = random_sweep(2, seed=3)
-        results = StatevectorSimulator().run_batch(circuits, shots=None)
-        assert all(r.metadata.get("batched") for r in results)
-        assert all(r.metadata["batch_size"] == 2 for r in results)
+        """Repeat sweeps of one structure reuse one compiled program."""
+        simulator = StatevectorSimulator()
+        sweep(simulator, random_rows(2, seed=3))
+        sweep(simulator, random_rows(2, seed=4))
+        assert simulator.program_cache_stats == {"hits": 1, "misses": 1, "entries": 1}
 
 
 class TestFallbacks:
     def test_mixed_structures_fall_back_to_the_loop(self):
+        """A second structure compiles its own program; both match ``run``."""
         bell = QuantumCircuit(3, 1, name="bell")
         bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        results = StatevectorSimulator().run_batch(circuits, shots=None)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
+        simulator = StatevectorSimulator()
+        sweep(simulator, random_rows(1, seed=5))
+        readout = simulator.run_sweep_program(
+            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=None
+        )
+        assert simulator.program_cache_stats["entries"] == 2
         single = StatevectorSimulator().run(bell, shots=None)
         for key, value in single.probabilities.items():
-            assert results[1].probabilities[key] == pytest.approx(value, abs=1e-12)
+            assert readout.probabilities[0][key] == pytest.approx(value, abs=1e-12)
 
     def test_reset_circuits_fall_back_to_the_loop(self):
+        """Resets cannot be compiled into a sweep; ``run`` still executes them."""
         qc = QuantumCircuit(2, 1, name="with_reset")
         qc.h(0).reset(0).measure(0, 0)
-        results = StatevectorSimulator(seed=0).run_batch([qc, qc.copy()], shots=64)
-        assert len(results) == 2
-        assert not results[0].metadata.get("batched")
+        simulator = StatevectorSimulator(seed=0)
+        with pytest.raises(SimulationError):
+            simulator._grid_program(qc, [])
+        assert simulator.run(qc, shots=64).counts.shots == 64
 
     def test_fallback_sampling_seed_matches_the_loop(self):
+        """Sweeps of two structures share one RNG stream exactly like ``run``."""
         bell = QuantumCircuit(3, 1, name="bell")
         bell.h(0).cx(0, 1).measure(0, 0)
-        circuits = [sweep_circuit([0.1, 0.2, 0.3, 0.4]), bell]
-        batched = StatevectorSimulator(seed=4).run_batch(circuits, shots=128)
+        row = [0.1, 0.2, 0.3, 0.4]
+        simulator = StatevectorSimulator(seed=4)
+        swept = sweep(simulator, [row], shots=128).counts + simulator.run_sweep_program(
+            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
+        ).counts
         loop_sim = StatevectorSimulator(seed=4)
-        looped = [loop_sim.run(circuit, shots=128) for circuit in circuits]
-        assert [r.counts.data for r in batched] == [r.counts.data for r in looped]
+        looped = [loop_sim.run(circuit, shots=128) for circuit in (sweep_circuit(row), bell)]
+        assert [c.data for c in swept] == [r.counts.data for r in looped]
 
 
 class TestValidation:
     def test_empty_batch_yields_empty_results(self):
-        """Matches the loop semantics of ``Backend.run_batch`` on every backend."""
-        assert StatevectorSimulator().run_batch([]) == []
+        readout = sweep(StatevectorSimulator(), np.zeros((0, 4)))
+        assert readout.probabilities == []
+        assert readout.marginal_probabilities(0, 0).shape == (0,)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch(random_sweep(2, seed=5), shots=0)
+            sweep(StatevectorSimulator(), random_rows(2, seed=5), shots=0)
 
     def test_unbound_parameters_rejected(self):
+        theta = Parameter("t")
         qc = QuantumCircuit(1, 1)
-        qc.ry(Parameter("t"), 0).measure(0, 0)
+        qc.ry(theta, 0).measure(0, 0)
         with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=None)
+            StatevectorSimulator().run(qc, shots=None)
+        simulator = StatevectorSimulator()
+        program = simulator._grid_program(qc, [theta])
+        with pytest.raises(SimulationError):
+            simulator.run_sweep_program(program, np.zeros((2, 0)), shots=None)
 
     def test_shots_without_measurement_rejected(self):
         qc = QuantumCircuit(1)
         qc.h(0)
+        simulator = StatevectorSimulator()
         with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=16)
+            simulator.run_sweep_program(
+                simulator._grid_program(qc, []), np.zeros((2, 0)), shots=16
+            )
 
     def test_double_measurement_rejected_in_batch(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0).measure(0, 0).measure(0, 1)
         with pytest.raises(SimulationError):
-            StatevectorSimulator().run_batch([qc, qc.copy()], shots=None)
+            StatevectorSimulator()._grid_program(qc, [])
