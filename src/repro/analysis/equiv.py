@@ -19,6 +19,9 @@ VER402 a fused step's folded density superoperator equals the sequential
        and the folded matrix is still CPTP
 VER403 a claimed shared trained-state prefix only covers steps whose bind
        columns are constant across every shift row of the bindings
+VER405 a program collapsed to a two-register overlap is the canonical SWAP
+       test: H, a contiguous cswap block, H on the only measured qubit,
+       every other step inside one register and before the first cswap
 VER410 an optimised program is a faithful translation of its source:
        structural metadata, bind-column maps, and the step algebra
        (flattened through fusion provenance) all agree
@@ -67,6 +70,7 @@ EQUIV_CODES = {
     "VER402": "folded superoperator differs from the composed source channels",
     "VER403": "claimed shared prefix reads a column that varies across rows",
     "VER404": "fused step spans a declared fusion barrier",
+    "VER405": "program is not the canonical SWAP test the overlap collapse needs",
     "VER410": "optimised program is not a faithful translation of its source",
     "VER411": "optimisation pass was vacuous: nothing fused (warning)",
 }
@@ -452,6 +456,119 @@ def verify_shared_prefix(
 
 
 # --------------------------------------------------------------------------- #
+# SWAP-test collapse certificate (VER405)
+# --------------------------------------------------------------------------- #
+
+
+def verify_swap_test(program: "SweepProgram") -> List[Diagnostic]:
+    """VER405 — ``program`` is the canonical SWAP test over two registers.
+
+    The noise-free collapse evolves registers A and B as two ``n``-qubit
+    programs and reads ``P(ancilla = 0) = (1 + |<a|b>|^2) / 2`` instead of
+    simulating all ``2n + 1`` qubits.  The identity holds for exactly this
+    shape, checked on the compiled steps (fused ones included):
+
+    * only one qubit, the ancilla, is measured;
+    * the ancilla's steps are a fixed H, a block of fixed
+      ``cswap(ancilla, a_i, b_i)`` and a fixed H, in that order.  Each
+      matrix must equal the gate library's bit for bit; names are not
+      trusted;
+    * the cswap pairs map register A onto register B one to one and cover
+      every other qubit;
+    * every other step acts inside A or inside B alone, before the first
+      cswap.  This also makes the cswap block contiguous.
+
+    Any finding keeps the sweep on the full circuit path.
+    """
+    from repro.quantum import gates as gate_library
+
+    out: List[Diagnostic] = []
+    obj = f"program '{program.name}' swap test"
+
+    def finding(message: str) -> List[Diagnostic]:
+        out.append(
+            _diag(
+                "VER405",
+                message,
+                obj=obj,
+                hint="the sweep keeps the full circuit path",
+            )
+        )
+        return out
+
+    if len(program.measured_qubits) != 1:
+        return finding(
+            f"measures qubit(s) {list(program.measured_qubits)}; only the "
+            "ancilla may be measured"
+        )
+    ancilla = program.measured_qubits[0]
+    hadamard = gate_library.gate_matrix("h")
+    cswap = gate_library.gate_matrix("cswap")
+
+    def fixed_as(step: "GateStep", matrix: np.ndarray) -> bool:
+        return step.is_fixed and np.array_equal(step.matrix, matrix)
+
+    ancilla_steps = [
+        (index, step)
+        for index, step in enumerate(program.steps)
+        if ancilla in step.qubits
+    ]
+    if len(ancilla_steps) < 3:
+        return finding(
+            f"ancilla {ancilla} has {len(ancilla_steps)} step(s); the swap "
+            "test needs H, at least one cswap and H"
+        )
+    (_, first), *middle, (_, last) = ancilla_steps
+    for label, step in (("first", first), ("last", last)):
+        if step.qubits != (ancilla,) or not fixed_as(step, hadamard):
+            finding(
+                f"the ancilla's {label} step ('{step.name}' on {step.qubits}) "
+                "is not a fixed H"
+            )
+    for index, step in middle:
+        if (
+            len(step.qubits) != 3
+            or step.qubits[0] != ancilla
+            or not fixed_as(step, cswap)
+        ):
+            finding(
+                f"ancilla step {index} ('{step.name}' on {step.qubits}) is "
+                "not a fixed cswap controlled by the ancilla"
+            )
+    if out:
+        return out
+    pairs = [step.qubits[1:] for _, step in middle]
+    register_a = {a for a, _ in pairs}
+    register_b = {b for _, b in pairs}
+    if (
+        len(register_a) != len(pairs)
+        or len(register_b) != len(pairs)
+        or register_a & register_b
+        or register_a | register_b != set(range(program.num_qubits)) - {ancilla}
+    ):
+        return finding(
+            f"cswap pairs {pairs} do not map two registers one to one over "
+            "every other qubit"
+        )
+    first_swap = middle[0][0]
+    for index, step in enumerate(program.steps):
+        if ancilla in step.qubits:
+            continue
+        qubits = set(step.qubits)
+        if not (qubits <= register_a or qubits <= register_b):
+            finding(
+                f"step {index} ('{step.name}' on {step.qubits}) acts across "
+                "both registers"
+            )
+        elif index > first_swap:
+            finding(
+                f"step {index} ('{step.name}' on {step.qubits}) comes after "
+                "the first cswap"
+            )
+    return out
+
+
+# --------------------------------------------------------------------------- #
 # End-to-end witness (VER410 / VER411)
 # --------------------------------------------------------------------------- #
 
@@ -633,7 +750,9 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     columns in one symbolic compile — is then fused and certified too:
     VER404 (via the translation witness) proves fusion never crossed the
     trained/encoder barrier, and VER403 proves a single-row grid tile
-    legally shares its trained-state prefix before and after optimisation.
+    legally shares its trained-state prefix before and after optimisation,
+    and VER405 proves both are the canonical SWAP test the noise-free
+    overlap collapse needs.
     """
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
@@ -738,6 +857,9 @@ def verify_reference_equivalence() -> List[Diagnostic]:
         feature_batch = rng.uniform(0.05, 0.95, size=(4, num_features))
         tile = builder.grid_bindings(values[None, :], feature_batch)
         for program in (grid_source, grid_optimized):
+            # The noise-free backends collapse this program to a
+            # two-register overlap; fused or not, it must stay certifiable.
+            out.extend(verify_swap_test(program))
             prefix = shared_prefix_length(program, tile)
             if prefix == 0:
                 out.append(

@@ -13,9 +13,11 @@ Two estimators implement the same interface:
   A whole ``(parameter rows x samples)`` sweep is one call to
   :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`: the
   builder's symbolic discriminator plus a bindings matrix, compiled once and
-  executed tile by tile.  Encoders without angle columns (amplitude, basis)
-  run one bound circuit per element through
-  :meth:`~repro.quantum.backend.Backend.run` instead.
+  executed tile by tile.  On the noise-free backends that sweep reads the
+  ancilla statistics off the certified two-register overlap (VER405)
+  instead of the full circuit; the sampled counts are the same.  Encoders
+  without angle columns (amplitude, basis) run one bound circuit per
+  element through :meth:`~repro.quantum.backend.Backend.run` instead.
 """
 
 from __future__ import annotations

@@ -26,6 +26,14 @@ Every backend executes through exactly two methods:
   transpiles it once and runs the template's program under the device noise
   model.  Sampled readouts are draw-for-draw identical to looping
   :meth:`Backend.run` over the bound grid elements with the same seed.
+
+On the noise-free backends a sweep whose program is certified (VER405) as
+the canonical SWAP test collapses to the overlap of its two registers,
+``P(ancilla = 0) = (1 + |<a|b>|^2) / 2``: two ``n``-qubit evolutions per
+element instead of one ``2n + 1``-qubit one (see
+:meth:`~repro.quantum.simulator.StatevectorSimulator.run_sweep_program`).
+:class:`NoisyBackend` never collapses, and :meth:`Backend.run` always
+simulates the full circuit.
 """
 
 from __future__ import annotations

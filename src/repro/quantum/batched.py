@@ -236,3 +236,15 @@ class BatchedStatevector:
     def fidelities(self, other: np.ndarray) -> np.ndarray:
         """Pairwise fidelities ``|<self_b|other_s>|**2``; shape ``(batch, samples)``."""
         return np.abs(self.inner(other)) ** 2
+
+    def elementwise_fidelities(self, other: "BatchedStatevector") -> np.ndarray:
+        """Fidelities ``|<self_e|other_e>|**2`` of matching elements; shape ``(batch,)``."""
+        if other._amplitudes.shape != self._amplitudes.shape:
+            raise SimulationError(
+                f"batch shapes {self._amplitudes.shape} and "
+                f"{other._amplitudes.shape} do not match"
+            )
+        overlaps = arrays.einsum(
+            "ei,ei->e", self._amplitudes.conj(), other._amplitudes
+        )
+        return np.abs(overlaps) ** 2

@@ -916,6 +916,24 @@ class SweepProgram:
         operands = self._resolve_operands(bindings)
         return self._evolve_tile(engine, operands, 0, bindings.shape[0])
 
+    def evolve_chunks(
+        self, bindings, engine, chunk_elements: int
+    ) -> Iterator[Tuple[int, int, object]]:
+        """Evolve the batch ``chunk_elements`` rows at a time.
+
+        Yields ``(start, stop, state)`` per contiguous chunk, so only one
+        chunk's states are alive at once.  Operands are resolved once from
+        the whole batch, exactly as in :meth:`execute`, so the states do not
+        depend on the chunk size.
+        """
+        bindings = self._check_bindings(bindings)
+        operands = self._resolve_operands(bindings)
+        total = bindings.shape[0]
+        chunk_elements = max(1, int(chunk_elements))
+        for start in range(0, total, chunk_elements):
+            stop = min(total, start + chunk_elements)
+            yield start, stop, self._evolve_tile(engine, operands, start, stop)
+
     def execute(self, bindings, engine, *, tile_plan: Optional[TilePlan] = None) -> np.ndarray:
         """Tiled execution: joint read-out probabilities, final states dropped.
 

@@ -26,12 +26,21 @@ whole sweep is one stacked RNG call that consumes the generator exactly like
 a loop of :meth:`StatevectorSimulator.run` /
 :meth:`DensityMatrixSimulator.run`, so sampled counts match that loop draw
 for draw under a shared seed.
+
+On the pure-state engine a program that VER405 certifies as the canonical
+SWAP test does not simulate all ``2n + 1`` qubits: its two registers
+evolve as ``n``-qubit programs (:func:`swap_test_registers`) and the
+ancilla read-out is ``[(1 + F) / 2, (1 - F) / 2]`` with ``F`` their overlap.
+The read-out and sampling that follow are the circuit path's.  Sweeps with
+a near-unit fidelity (:data:`COLLAPSE_MIN_P1`), uncertified programs and
+the mixed-state engine run the full circuit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -47,6 +56,7 @@ from repro.quantum.measurement import (
 from repro.quantum.noise import NoiseModel, apply_readout_error
 from repro.quantum.program import (
     DensitySuperoperatorEngine,
+    GateStep,
     StatevectorEngine,
     SweepProgram,
     TilePlan,
@@ -186,6 +196,103 @@ class SweepReadout:
         )
 
 
+#: Smallest collapsed ``P(ancilla = 1) = (1 - F) / 2`` the overlap collapse
+#: may hand to the read-out; a sweep with any element below it runs on the
+#: circuit path instead.  Near ``F = 1`` the two paths round differently:
+#: the collapse can reach ``F >= 1`` and drop outcome ``"1"`` where the
+#: circuit keeps a ``1e-19``-sized probability, which changes the outcome key
+#: sets and with them the sampler's RNG consumption.  The largest
+#: circuit-vs-collapse difference measured is 1.1e-15 (Iris 17 x 45 grid;
+#: 6.7e-16 on a 4 x 24 MNIST-16 grid), so 1e-12 leaves a margin of about
+#: three orders of magnitude.
+COLLAPSE_MIN_P1 = 1e-12
+
+
+def swap_test_registers(
+    program: SweepProgram,
+) -> Optional[Tuple[SweepProgram, SweepProgram]]:
+    """Registers A and B of a VER405-certified SWAP test, or ``None``.
+
+    Each register becomes an ``n``-qubit program with the same bind
+    columns, its qubits renumbered in cswap-pair order so that ``a_i`` and
+    ``b_i`` both become qubit ``i``.  Any VER405 finding returns ``None``.
+    """
+    from repro.analysis.equiv import verify_swap_test
+
+    if verify_swap_test(program):
+        return None
+    ancilla = program.measured_qubits[0]
+    pairs = [
+        step.qubits[1:]
+        for step in program.steps
+        if ancilla in step.qubits and len(step.qubits) == 3
+    ]
+
+    def register(order: Sequence[int], label: str) -> SweepProgram:
+        position = {qubit: index for index, qubit in enumerate(order)}
+
+        def remap(step: GateStep) -> GateStep:
+            return dataclasses.replace(
+                step,
+                qubits=tuple(position[qubit] for qubit in step.qubits),
+                fused_from=(
+                    tuple(remap(source) for source in step.fused_from)
+                    if step.fused_from
+                    else step.fused_from
+                ),
+            )
+
+        return SweepProgram(
+            num_qubits=len(order),
+            num_clbits=0,
+            steps=[
+                remap(step)
+                for step in program.steps
+                if set(step.qubits) <= position.keys()
+            ],
+            measured_qubits=(),
+            clbits=(),
+            num_columns=program.num_columns,
+            parameters=program.parameters,
+            column_sites=program.column_sites,
+            name=f"{program.name}:{label}",
+        )
+
+    return (
+        register([a for a, _ in pairs], "register_a"),
+        register([b for _, b in pairs], "register_b"),
+    )
+
+
+def _collapsed_joint(
+    registers: Tuple[SweepProgram, SweepProgram],
+    bindings: np.ndarray,
+    tile_plan: Optional[TilePlan],
+) -> Optional[np.ndarray]:
+    """``[(1 + F) / 2, (1 - F) / 2]`` per element, or ``None`` under the guard.
+
+    Both registers evolve chunk by chunk; a chunk holds at most
+    ``tile_plan.max_amplitudes // (2 * 2**n)`` elements, so the pair of
+    register stacks stays inside the plan's budget.
+    """
+    register_a, register_b = registers
+    total = bindings.shape[0]
+    chunk = total
+    if tile_plan is not None and tile_plan.max_amplitudes is not None:
+        chunk = tile_plan.max_amplitudes // (2 * 2**register_a.num_qubits)
+    engine = StatevectorEngine()
+    fidelity = np.empty(total, dtype=float)
+    for (start, stop, states_a), (_, _, states_b) in zip(
+        register_a.evolve_chunks(bindings, engine, chunk),
+        register_b.evolve_chunks(bindings, engine, chunk),
+    ):
+        fidelity[start:stop] = states_a.elementwise_fidelities(states_b)
+    joint = np.stack([(1.0 + fidelity) / 2.0, (1.0 - fidelity) / 2.0], axis=1)
+    if np.any(joint[:, 1] < COLLAPSE_MIN_P1):
+        return None
+    return joint
+
+
 def _execute_sweep_readout(
     program: SweepProgram,
     bindings: np.ndarray,
@@ -193,19 +300,33 @@ def _execute_sweep_readout(
     rng: np.random.Generator,
     shots: Optional[int],
     tile_plan: Optional[TilePlan],
+    registers: Optional[Tuple[SweepProgram, SweepProgram]] = None,
 ) -> SweepReadout:
     """Run one compiled sweep and sample its read-out (both engines).
 
+    ``registers`` (statevector engine only) are the two halves of a
+    certified SWAP test: the joint read-out then comes from their overlap
+    unless the :data:`COLLAPSE_MIN_P1` guard sends the sweep back to the
+    circuit.  Either way
     :func:`~repro.quantum.measurement.exact_clbit_probabilities` then
-    :func:`_sample_counts_batch`, so the sweep consumes the RNG draw-for-draw
-    like the per-circuit ``run`` loop.
+    :func:`_sample_counts_batch` follow, so the sweep consumes the RNG
+    draw-for-draw like the per-circuit ``run`` loop.
     """
     bindings = np.asarray(bindings, dtype=float)
     if bindings.shape[0] == 0:
         return SweepReadout([], [] if shots is not None else None, program.num_clbits)
     if not program.measured_qubits:
         raise SimulationError("cannot read out a sweep program without measurements")
-    joint = program.execute(bindings, engine, tile_plan=tile_plan)
+    if tile_plan is not None and tile_plan.total_elements != bindings.shape[0]:
+        raise SimulationError(
+            f"{program.name}: tile plan covers {tile_plan.total_elements} "
+            f"elements but the bindings have {bindings.shape[0]} rows"
+        )
+    joint = None
+    if registers is not None:
+        joint = _collapsed_joint(registers, bindings, tile_plan)
+    if joint is None:
+        joint = program.execute(bindings, engine, tile_plan=tile_plan)
     probabilities = [
         exact_clbit_probabilities(
             joint[element], program.measured_qubits, program.clbits, program.num_clbits
@@ -313,6 +434,11 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
     ) -> None:
         self._rng = ensure_rng(seed)
         self._init_program_cache(optimize_programs)
+        #: Per-program :func:`swap_test_registers` result (``None`` when the
+        #: program is not a certified SWAP test), dropped with the program.
+        self._swap_registers: "WeakKeyDictionary[SweepProgram, Optional[tuple]]" = (
+            WeakKeyDictionary()
+        )
 
     def run(
         self,
@@ -397,11 +523,23 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         :meth:`~repro.quantum.backend.Backend.sweep_grid_zero_probabilities`:
         per-element statevectors are dropped as each tile completes, and
         shot sampling consumes the RNG exactly like a loop of :meth:`run`.
+        A program VER405 certifies as the canonical SWAP test collapses to
+        the overlap of its two ``n``-qubit registers (see
+        :func:`swap_test_registers`); every other program, and any sweep the
+        :data:`COLLAPSE_MIN_P1` guard rejects, runs the full circuit.
         """
         if shots is not None and shots <= 0:
             raise SimulationError(f"shots must be positive or None, got {shots}")
+        if program not in self._swap_registers:
+            self._swap_registers[program] = swap_test_registers(program)
         return _execute_sweep_readout(
-            program, bindings, StatevectorEngine(), self._rng, shots, tile_plan
+            program,
+            bindings,
+            StatevectorEngine(),
+            self._rng,
+            shots,
+            tile_plan,
+            registers=self._swap_registers[program],
         )
 
 
