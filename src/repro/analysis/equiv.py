@@ -22,6 +22,10 @@ VER403 a claimed shared trained-state prefix only covers steps whose bind
 VER405 a program collapsed to a two-register overlap is the canonical SWAP
        test: H, a contiguous cswap block, H on the only measured qubit,
        every other step inside one register and before the first cswap
+VER406 a density program's read-out fold is exact: every tail step has a
+       fixed superoperator plan, the folded effects are Hermitian and sum
+       to the identity, and deterministic probe states read the same
+       distribution through the fold as through the forward tail
 VER410 an optimised program is a faithful translation of its source:
        structural metadata, bind-column maps, and the step algebra
        (flattened through fusion provenance) all agree
@@ -62,7 +66,7 @@ from repro.analysis.verify import DEFAULT_ATOL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.quantum.noise import NoiseModel
-    from repro.quantum.program import GateStep, SweepProgram
+    from repro.quantum.program import GateStep, ReadoutFold, SweepProgram
 
 #: Code -> one-line description, mirrored in ``docs/static_analysis.md``.
 EQUIV_CODES = {
@@ -71,6 +75,7 @@ EQUIV_CODES = {
     "VER403": "claimed shared prefix reads a column that varies across rows",
     "VER404": "fused step spans a declared fusion barrier",
     "VER405": "program is not the canonical SWAP test the overlap collapse needs",
+    "VER406": "read-out fold of a density program's fixed tail is not exact",
     "VER410": "optimised program is not a faithful translation of its source",
     "VER411": "optimisation pass was vacuous: nothing fused (warning)",
 }
@@ -569,6 +574,121 @@ def verify_swap_test(program: "SweepProgram") -> List[Diagnostic]:
 
 
 # --------------------------------------------------------------------------- #
+# Read-out fold certificate (VER406)
+# --------------------------------------------------------------------------- #
+
+#: Tolerance of every VER406 check.  The fold and the forward tail differ by
+#: at most 8.9e-16 on the Iris noisy grids, so 1e-12 only admits rounding.
+READOUT_FOLD_ATOL = 1e-12
+
+
+def _readout_fold_probes(num_qubits: int, count: int = 3) -> np.ndarray:
+    """``(count, 2**n)`` deterministic pure probe states for VER406.
+
+    Probe ``p`` has unit-modulus phases ``exp(2 pi i c p k**2) / sqrt(dim)``
+    over basis index ``k``, with ``c`` the golden-ratio conjugate: every
+    basis state is populated and the phases differ between probes and
+    between basis states, without drawing from any RNG.
+    """
+    dim = 2**num_qubits
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    probe = np.arange(1, count + 1)[:, None]
+    basis = np.arange(dim)[None, :]
+    return np.exp(2j * np.pi * golden * probe * basis**2) / np.sqrt(dim)
+
+
+def verify_readout_fold(
+    program: "SweepProgram",
+    plans: Sequence,
+    fold: "ReadoutFold",
+    *,
+    atol: float = READOUT_FOLD_ATOL,
+) -> List[Diagnostic]:
+    """VER406 — ``fold`` reads ``program``'s tail exactly under ``plans``.
+
+    The density engine stops each tile before ``fold.tail_start`` and reads
+    ``Re(vec(rho) @ fold.weights.T)``.  That equals running the tail only if
+    the tail is a fixed linear map and the folded effects ``E'_j`` are its
+    adjoint applied to the outcome projectors.  Checked here:
+
+    * every tail step has a fixed ``(4**k, 4**k)`` plan;
+    * ``sum_j E'_j`` is the identity, i.e. the tail preserves trace;
+    * each ``E'_j`` is Hermitian;
+    * three deterministic probe states (:func:`_readout_fold_probes`)
+      evolved forward through the tail give the same ``probabilities()``
+      as the fold.
+
+    Any finding leaves the program without a fold, so the tail runs
+    forward.
+    """
+    from repro import arrays
+    from repro.quantum.batched_density import BatchedDensityMatrix
+
+    out: List[Diagnostic] = []
+    obj = f"program '{program.name}' read-out fold"
+
+    def finding(message: str) -> List[Diagnostic]:
+        out.append(
+            _diag("VER406", message, obj=obj, hint="the tail runs forward")
+        )
+        return out
+
+    steps = program.steps
+    if len(plans) != len(steps) or not 0 <= fold.tail_start < len(steps):
+        return finding(
+            f"tail start {fold.tail_start} is not a step of the "
+            f"{len(steps)}-step program planned with {len(plans)} plan(s)"
+        )
+    for index in range(fold.tail_start, len(steps)):
+        kind, superop = plans[index]
+        size = 4 ** len(steps[index].qubits)
+        if kind != "fixed" or superop is None or np.shape(superop) != (size, size):
+            finding(
+                f"tail step {index} ('{steps[index].name}') has a {kind} plan, "
+                f"not a fixed ({size}, {size}) superoperator"
+            )
+    if out:
+        return out
+    outcomes = 2 ** len(program.measured_qubits)
+    dim = 2**program.num_qubits
+    if np.shape(fold.weights) != (outcomes, dim * dim):
+        return finding(
+            f"weights have shape {np.shape(fold.weights)}, expected "
+            f"({outcomes}, {dim * dim})"
+        )
+    effects = np.asarray(fold.weights).conj().reshape(outcomes, dim, dim)
+    trace_error = float(np.max(np.abs(effects.sum(axis=0) - np.eye(dim))))
+    if trace_error > atol:
+        finding(
+            f"the folded effects sum to the identity only within "
+            f"{trace_error:.3g}; the tail does not preserve trace"
+        )
+    hermitian_error = float(
+        np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)))
+    )
+    if hermitian_error > atol:
+        finding(f"a folded effect is not Hermitian (error {hermitian_error:.3g})")
+    if out:
+        return out
+    probes = _readout_fold_probes(program.num_qubits)
+    states = BatchedDensityMatrix.from_matrices(
+        arrays.einsum("pi,pj->pij", probes, probes.conj())
+    )
+    folded = np.clip(states.effect_expectations(fold.weights), 0.0, None)
+    folded = folded / folded.sum(axis=1, keepdims=True)
+    for index in range(fold.tail_start, len(steps)):
+        states.apply_superoperator(plans[index][1], steps[index].qubits)
+    forward = states.probabilities(program.measured_qubits)
+    probe_error = float(np.max(np.abs(forward - folded)))
+    if probe_error > atol:
+        finding(
+            f"probe states read distributions {probe_error:.3g} apart through "
+            "the fold and through the forward tail"
+        )
+    return out
+
+
+# --------------------------------------------------------------------------- #
 # End-to-end witness (VER410 / VER411)
 # --------------------------------------------------------------------------- #
 
@@ -752,7 +872,9 @@ def verify_reference_equivalence() -> List[Diagnostic]:
     trained/encoder barrier, and VER403 proves a single-row grid tile
     legally shares its trained-state prefix before and after optimisation,
     and VER405 proves both are the canonical SWAP test the noise-free
-    overlap collapse needs.
+    overlap collapse needs.  For Iris, VER406 certifies the read-out fold of
+    the noisy backend's grid program (its symbolic transpile template),
+    unfused and fused under the IBM-Q London model.
     """
     from repro.core.model import QuClassi
     from repro.hardware.calibration import get_calibration
@@ -874,4 +996,44 @@ def verify_reference_equivalence() -> List[Diagnostic]:
                     )
                 )
             out.extend(verify_shared_prefix(program, tile, prefix))
+        if dataset == "iris":
+            out.extend(_noisy_grid_fold_findings(builder, noise))
+    return out
+
+
+def _noisy_grid_fold_findings(builder, noise: "NoiseModel") -> List[Diagnostic]:
+    """VER406 over the noisy-backend grid program, unfused and fused."""
+    from repro.exceptions import SimulationError
+    from repro.quantum.program import DensitySuperoperatorEngine, fold_readout
+    from repro.quantum.transpiler import TranspileCache
+
+    entry = TranspileCache().symbolic_template(
+        builder.symbolic_discriminator(), builder.grid_parameters
+    )
+    source = entry.ensure_program(optimize=False)
+    try:
+        fused = source.optimized(noise_model=noise)
+    except SimulationError as exc:
+        return [
+            _diag(
+                "VER410",
+                f"optimising '{source.name}' failed its own certification: {exc}",
+                obj=f"program '{source.name}'",
+            )
+        ]
+    out: List[Diagnostic] = []
+    for program in (source, fused):
+        plans = DensitySuperoperatorEngine(noise).step_plans(program)
+        fold = fold_readout(program, plans)
+        if fold is None:
+            out.append(
+                _diag(
+                    "VER406",
+                    "the noisy grid program ends in a bind site, so there is "
+                    "no fixed tail to fold",
+                    obj=f"program '{program.name}' read-out fold",
+                )
+            )
+            continue
+        out.extend(verify_readout_fold(program, plans, fold))
     return out

@@ -148,6 +148,23 @@ class BatchedDensityMatrix:
         return state
 
     @classmethod
+    def from_operators(cls, operators: np.ndarray) -> "BatchedDensityMatrix":
+        """Wrap a ``(batch, 2**n, 2**n)`` operator stack without physicality checks.
+
+        For stacks that are not states: the read-out fold evolves
+        measurement projectors backwards through a program's fixed tail, and
+        projectors have neither unit trace nor, after a noisy adjoint map,
+        any state invariant.  The stack is copied at the configured precision.
+        """
+        operators = arrays.as_complex(operators)
+        batch_size, dim = operators.shape[0], operators.shape[1]
+        state = cls.__new__(cls)
+        state._batch_size = int(batch_size)
+        state._num_qubits = int(round(math.log2(dim)))
+        state._matrices = operators.copy()
+        return state
+
+    @classmethod
     def from_density_matrices(cls, states: Iterable) -> "BatchedDensityMatrix":
         """Stack per-circuit :class:`~repro.quantum.density_matrix.DensityMatrix` objects."""
         rows = [state.data for state in states]
@@ -233,6 +250,17 @@ class BatchedDensityMatrix:
         if qubits is None:
             return probs
         return marginal_probabilities(probs, qubits, self._num_qubits)
+
+    def effect_expectations(self, weights: np.ndarray) -> np.ndarray:
+        """Per-element ``Re Tr(E_j rho)`` for a stack of effects, ``(batch, J)``.
+
+        ``weights`` is the ``(J, 4**n)`` matrix whose row ``j`` is
+        ``conj(vec(E_j))`` in the row-major layout of the stack, so all
+        expectations are one ``(batch, 4**n) @ (4**n, J)`` matmul.  No
+        clipping or renormalisation happens here.
+        """
+        flat = self._matrices.reshape(self._batch_size, -1)
+        return np.real(arrays.matmul(flat, arrays.as_complex(weights).T))
 
     # ------------------------------------------------------------------ #
     # Evolution

@@ -61,6 +61,7 @@ from repro.quantum.batched_density import (
 )
 from repro.quantum.noise import NoiseModel, apply_readout_error
 from repro.quantum.operations import Parameter, ScaledParameter
+from repro.quantum.statevector import marginal_probabilities
 
 
 def check_deferred_measurement(instruction, measured: set, engine_name: str) -> None:
@@ -274,6 +275,81 @@ class TilePlan:
             base = row * self.samples
             for start, stop in self.sample_tiles():
                 yield base + start, base + stop
+
+
+# --------------------------------------------------------------------------- #
+# Algebraic read-out shortcuts
+# --------------------------------------------------------------------------- #
+
+#: Smallest outcome probability an algebraic read-out shortcut may hand to
+#: the read-out.  Two shortcuts share it: the noise-free SWAP-test collapse
+#: (``P(ancilla = 1) = (1 - F) / 2``, see
+#: :func:`repro.quantum.simulator.swap_test_registers`) and the density
+#: engine's read-out fold (:class:`ReadoutFold`).  A shortcut and the full
+#: evolution round differently near zero: the shortcut can clip an outcome
+#: to exactly 0 where the full evolution keeps a ``1e-19``-sized
+#: probability.  The exact read-out drops zero outcomes, so the outcome key
+#: sets would differ and with them the sampler's RNG consumption.  A sweep
+#: (collapse) or tile (fold) with any shortcut probability below this bound
+#: runs the full evolution instead.  The largest shortcut-vs-full difference
+#: measured is 1.1e-15 for the collapse (Iris 17 x 45 grid; 6.7e-16 on a
+#: 4 x 24 MNIST-16 grid) and 8.9e-16 for the fold (Iris noisy grids), so
+#: 1e-12 leaves a margin of about three orders of magnitude.
+COLLAPSE_MIN_P1 = 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class ReadoutFold:
+    """A program's fixed noisy tail folded into per-outcome effect operators.
+
+    The *tail* is the longest suffix of steps whose density plan is a fixed
+    superoperator; together they are one fixed linear map ``S``.  For each
+    measured outcome ``j`` with computational-basis projector ``E_j``,
+    ``Tr(E_j S(rho)) = Tr(S†(E_j) rho)``, so a tile evolved only up to
+    ``tail_start`` reads its joint distribution as
+    ``Re(vec(rho) @ weights.T)``.
+
+    Attributes
+    ----------
+    tail_start:
+        Index of the first tail step; execution stops before it.
+    weights:
+        ``(2**m, 4**n)`` matrix whose row ``j`` is ``conj(vec(S†(E_j)))``.
+    """
+
+    tail_start: int
+    weights: np.ndarray
+
+
+def fold_readout(program: "SweepProgram", plans: Sequence) -> Optional[ReadoutFold]:
+    """The uncertified read-out fold of ``program`` under density ``plans``.
+
+    Evolves the ``2**m`` measured-outcome projectors backwards through the
+    fixed tail: each tail step applies the adjoint ``S.conj().T`` of its
+    superoperator, last step first.  Returns ``None`` when the last step is
+    not fixed (empty tail).  The VER406 certificate
+    (:func:`repro.analysis.equiv.verify_readout_fold`) decides whether the
+    result may be used.
+    """
+    tail_start = len(plans)
+    while tail_start and plans[tail_start - 1][0] == "fixed":
+        tail_start -= 1
+    if tail_start == len(plans) or not program.measured_qubits:
+        return None
+    dim = 2**program.num_qubits
+    # Row j of ``outcome_of_basis.T`` marks the basis states that read j.
+    outcome_of_basis = marginal_probabilities(
+        np.eye(dim), program.measured_qubits, program.num_qubits
+    )
+    projectors = arrays.zeros((outcome_of_basis.shape[1], dim, dim))
+    projectors[:, np.arange(dim), np.arange(dim)] = outcome_of_basis.T
+    effects = BatchedDensityMatrix.from_operators(projectors)
+    for index in range(len(plans) - 1, tail_start - 1, -1):
+        effects.apply_superoperator(
+            plans[index][1].conj().T, program.steps[index].qubits
+        )
+    weights = effects.matrices.reshape(len(projectors), -1).conj()
+    return ReadoutFold(tail_start=tail_start, weights=weights)
 
 
 # --------------------------------------------------------------------------- #
@@ -859,8 +935,13 @@ class SweepProgram:
         stop: int,
         *,
         shared_bindings: Optional[np.ndarray] = None,
+        stop_step: Optional[int] = None,
     ):
         """Evolve one contiguous tile ``[start, stop)`` of the sweep.
+
+        Steps ``[0, stop_step)`` run (all of them by default); the read-out
+        fold stops before its tail, and :meth:`execute` runs the rest when
+        the fold's guard rejects the tile.
 
         When ``shared_bindings`` is provided (the tile plan claims a shared
         trained-state prefix), the longest prefix of steps whose operands are
@@ -873,6 +954,8 @@ class SweepProgram:
         """
         batch = stop - start
         plans = engine.step_plans(self)
+        if stop_step is None:
+            stop_step = len(self.steps)
         prefix = 0
         if shared_bindings is not None and batch > 1:
             from repro.analysis.equiv import (
@@ -882,7 +965,7 @@ class SweepProgram:
             from repro.analysis.verify import assert_clean
 
             tile_bindings = shared_bindings[start:stop]
-            prefix = shared_prefix_length(self, tile_bindings)
+            prefix = min(shared_prefix_length(self, tile_bindings), stop_step)
             if prefix:
                 assert_clean(
                     list(verify_shared_prefix(self, tile_bindings, prefix)),
@@ -890,20 +973,33 @@ class SweepProgram:
                 )
         if prefix:
             state = engine.initial_state(1, self.num_qubits)
-            for index in range(prefix):
-                step = self.steps[index]
-                matrix = self._step_matrix(
-                    step, operands[index], start, start + 1
-                )
-                engine.apply_step(state, step, plans[index], matrix)
+            self._apply_steps(
+                engine, plans, operands, state, 0, prefix, start, start + 1
+            )
             state = state.broadcast_to(batch)
         else:
             state = engine.initial_state(batch, self.num_qubits)
-        for index in range(prefix, len(self.steps)):
+        self._apply_steps(
+            engine, plans, operands, state, prefix, stop_step, start, stop
+        )
+        return state
+
+    def _apply_steps(
+        self,
+        engine,
+        plans,
+        operands: List,
+        state,
+        first: int,
+        last: int,
+        start: int,
+        stop: int,
+    ) -> None:
+        """Apply steps ``[first, last)`` to the state of tile ``[start, stop)``."""
+        for index in range(first, last):
             step = self.steps[index]
             matrix = self._step_matrix(step, operands[index], start, stop)
             engine.apply_step(state, step, plans[index], matrix)
-        return state
 
     def evolve(self, bindings, engine):
         """Evolve the whole batch at once; returns the engine's batched state.
@@ -944,6 +1040,13 @@ class SweepProgram:
         element the arithmetic is the same, only the batch extent differs.
         Peak engine memory is bounded by the largest tile instead of the
         whole sweep.
+
+        When the engine offers a certified :class:`ReadoutFold` (the density
+        engine, VER406) and its ``2**m x 4**n`` effect stack fits inside
+        ``tile_plan.max_amplitudes``, each tile evolves only up to the fold's
+        ``tail_start`` and reads its distribution with one matmul.  A tile
+        with any folded probability below :data:`COLLAPSE_MIN_P1` runs the
+        tail forward instead.
         """
         bindings = self._check_bindings(bindings)
         if not self.measured_qubits:
@@ -962,12 +1065,34 @@ class SweepProgram:
             tiles = tile_plan.flat_tiles()
         operands = self._resolve_operands(bindings)
         shared = bindings if (tile_plan is not None and tile_plan.shared_prefix) else None
+        plans = engine.step_plans(self)
+        fold = engine.readout_fold(self)
+        budget = None if tile_plan is None else tile_plan.max_amplitudes
+        if fold is not None and budget is not None and fold.weights.size > budget:
+            fold = None
+        last = len(self.steps)
+        stop_step = last if fold is None else fold.tail_start
         out = np.empty((total, 2 ** len(self.measured_qubits)), dtype=float)
         for start, stop in tiles:
             state = self._evolve_tile(
-                engine, operands, start, stop, shared_bindings=shared
+                engine,
+                operands,
+                start,
+                stop,
+                shared_bindings=shared,
+                stop_step=stop_step,
             )
-            out[start:stop] = engine.joint_probabilities(state, self.measured_qubits)
+            joint = None
+            if fold is not None:
+                joint = engine.folded_probabilities(
+                    state, fold, self.measured_qubits
+                )
+            if joint is None:
+                self._apply_steps(
+                    engine, plans, operands, state, stop_step, last, start, stop
+                )
+                joint = engine.joint_probabilities(state, self.measured_qubits)
+            out[start:stop] = joint
         return out
 
 
@@ -987,6 +1112,10 @@ class StatevectorEngine:
 
     def step_plans(self, program: SweepProgram) -> Sequence[None]:
         return (None,) * len(program.steps)
+
+    def readout_fold(self, program: SweepProgram) -> None:
+        """Pure states read out directly; there is no fold."""
+        return None
 
     def apply_step(self, state, step: GateStep, plan, matrix) -> None:
         state.apply_matrix(matrix, step.qubits)
@@ -1052,6 +1181,13 @@ class DensitySuperoperatorEngine:
     the per-tile gate superoperator is left-multiplied by that matrix — one
     contraction per gate instead of one per gate *plus one per channel*, and
     no Kraus-channel resolution at all on repeat sweeps.
+
+    The same plan also folds the program's fixed tail — every step after the
+    last bind site — into per-outcome effect operators (:class:`ReadoutFold`),
+    certified by VER406 (:func:`repro.analysis.equiv.verify_readout_fold`).
+    Any finding leaves the program without a fold, so its tail runs forward.
+    Plans and fold are keyed on the noise model's mutation version and the
+    configured precision (:func:`repro.arrays.get_precision`).
     """
 
     name = "density_superoperator"
@@ -1067,14 +1203,23 @@ class DensitySuperoperatorEngine:
         return BatchedDensityMatrix(batch, num_qubits)
 
     def step_plans(self, program: SweepProgram) -> tuple:
-        version = getattr(self.noise_model, "version", 0)
+        return self._program_plan(program)[0]
+
+    def readout_fold(self, program: SweepProgram) -> Optional[ReadoutFold]:
+        """The program's certified read-out fold, or ``None`` (forward tail)."""
+        return self._program_plan(program)[1]
+
+    def _program_plan(self, program: SweepProgram) -> tuple:
+        """``(step plans, read-out fold)``, memoised per program."""
+        key = (getattr(self.noise_model, "version", 0), arrays.get_precision())
         cached = self._plans.get(program)
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] == key:
             return cached[1]
-        # First plan for this program, or the noise model was mutated
-        # in place since the plan was precomposed (its ``add_*`` builders
-        # bump ``version``) — recompose so the batched paths track the
-        # live model exactly like the per-circuit ``run`` loop does.
+        # First plan for this program, the noise model was mutated in place
+        # since the plan was precomposed (its ``add_*`` builders bump
+        # ``version``), or the precision changed — recompose so the batched
+        # paths track the live model exactly like the per-circuit ``run``
+        # loop does, at the configured dtype.
         plans = tuple(self._plan_step(step) for step in program.steps)
         if full_verification_enabled():
             # REPRO_VERIFY=1: CPTP-check every precomposed superoperator plan
@@ -1082,9 +1227,14 @@ class DensitySuperoperatorEngine:
             from repro.analysis.verify import verify_step_plan_superoperators
 
             verify_step_plan_superoperators(program, plans)
-        self._plans[program] = (version, plans)
+        from repro.analysis.equiv import verify_readout_fold
+
+        fold = fold_readout(program, plans)
+        if fold is not None and verify_readout_fold(program, plans, fold):
+            fold = None
+        self._plans[program] = (key, (plans, fold))
         self.plans_compiled += 1  # repro: noqa REP101 -- instrumentation counter on a per-backend engine; workers rebuild backends from specs, never share one engine
-        return plans
+        return plans, fold
 
     def _plan_step(self, step: GateStep):
         if step.fused_from:
@@ -1145,4 +1295,22 @@ class DensitySuperoperatorEngine:
 
     def joint_probabilities(self, state, measured_qubits) -> np.ndarray:
         joint = state.probabilities(measured_qubits)
+        return apply_readout_error(joint, measured_qubits, self.noise_model)
+
+    def folded_probabilities(
+        self, state, fold: ReadoutFold, measured_qubits
+    ) -> Optional[np.ndarray]:
+        """Joint read-out of a pre-tail ``state`` through ``fold``.
+
+        ``None`` when any folded probability is below
+        :data:`COLLAPSE_MIN_P1` (the caller then runs the tail forward), so
+        every kept probability is positive and the clip at 0 of
+        :meth:`BatchedDensityMatrix.probabilities` is a no-op here.  The
+        distribution is renormalised, then readout error applies as in
+        :meth:`joint_probabilities`.
+        """
+        joint = state.effect_expectations(fold.weights)
+        if np.any(joint < COLLAPSE_MIN_P1):
+            return None
+        joint = joint / joint.sum(axis=1, keepdims=True)
         return apply_readout_error(joint, measured_qubits, self.noise_model)

@@ -21,9 +21,13 @@ circuit structure) streams a bindings matrix tile by tile under a
 :class:`~repro.quantum.program.TilePlan`, keeping only each element's
 read-out, never per-element states or results.  On the mixed-state engine
 every gate's unitary and noise channels are *precomposed* into a single
-superoperator when the program is first planned.  Shot sampling for the
-whole sweep is one stacked RNG call that consumes the generator exactly like
-a loop of :meth:`StatevectorSimulator.run` /
+superoperator when the program is first planned, and the fixed tail after
+the last bind site is folded into per-outcome effect operators (certified by
+VER406), so each tile stops at the tail and reads its distribution with one
+matmul; see :class:`~repro.quantum.program.ReadoutFold`.
+:meth:`DensityMatrixSimulator.run` evolves every gate and stays the oracle.
+Shot sampling for the whole sweep is one stacked RNG call that consumes the
+generator exactly like a loop of :meth:`StatevectorSimulator.run` /
 :meth:`DensityMatrixSimulator.run`, so sampled counts match that loop draw
 for draw under a shared seed.
 
@@ -32,8 +36,9 @@ SWAP test does not simulate all ``2n + 1`` qubits: its two registers
 evolve as ``n``-qubit programs (:func:`swap_test_registers`) and the
 ancilla read-out is ``[(1 + F) / 2, (1 - F) / 2]`` with ``F`` their overlap.
 The read-out and sampling that follow are the circuit path's.  Sweeps with
-a near-unit fidelity (:data:`COLLAPSE_MIN_P1`), uncertified programs and
-the mixed-state engine run the full circuit.
+a near-unit fidelity (:data:`~repro.quantum.program.COLLAPSE_MIN_P1`, the
+bound the read-out fold's guard shares), uncertified programs and the
+mixed-state engine run the full circuit.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.quantum.measurement import (
 )
 from repro.quantum.noise import NoiseModel, apply_readout_error
 from repro.quantum.program import (
+    COLLAPSE_MIN_P1,
     DensitySuperoperatorEngine,
     GateStep,
     StatevectorEngine,
@@ -194,18 +200,6 @@ class SweepReadout:
             ],
             dtype=float,
         )
-
-
-#: Smallest collapsed ``P(ancilla = 1) = (1 - F) / 2`` the overlap collapse
-#: may hand to the read-out; a sweep with any element below it runs on the
-#: circuit path instead.  Near ``F = 1`` the two paths round differently:
-#: the collapse can reach ``F >= 1`` and drop outcome ``"1"`` where the
-#: circuit keeps a ``1e-19``-sized probability, which changes the outcome key
-#: sets and with them the sampler's RNG consumption.  The largest
-#: circuit-vs-collapse difference measured is 1.1e-15 (Iris 17 x 45 grid;
-#: 6.7e-16 on a 4 x 24 MNIST-16 grid), so 1e-12 leaves a margin of about
-#: three orders of magnitude.
-COLLAPSE_MIN_P1 = 1e-12
 
 
 def swap_test_registers(
@@ -701,7 +695,9 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         helpers :meth:`run` uses, and shot sampling consumes the RNG exactly
         like a loop of :meth:`run`.  Per-element density matrices are never
         materialised, so peak memory is the largest tile's
-        ``tile x 4**n`` stack rather than the whole sweep's.
+        ``tile x 4**n`` stack rather than the whole sweep's.  Tiles stop at
+        the program's certified read-out fold when it fits the tile plan
+        (see :meth:`~repro.quantum.program.SweepProgram.execute`).
         """
         if shots is not None and shots <= 0:
             raise SimulationError(f"shots must be positive or None, got {shots}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import arrays
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
@@ -324,6 +325,18 @@ class TestNoisePrecomposition:
             np.testing.assert_allclose(
                 row, zero_one(simulator.run(circuit, shots=None)), atol=1e-10
             )
+
+    def test_precision_switch_replans(self):
+        """A warm engine must not keep double-precision plans in single mode."""
+        circuits = random_sweep(4, seed=13)
+        program = SweepProgram.compile(circuits[0], bind_floats=True)
+        bindings = bindings_of(program, circuits)
+        warm = DensitySuperoperatorEngine(NOISE)
+        program.execute(bindings, warm)
+        with arrays.precision("single"):
+            cold = program.execute(bindings, DensitySuperoperatorEngine(NOISE))
+            np.testing.assert_array_equal(program.execute(bindings, warm), cold)
+        assert warm.plans_compiled == 2
 
 
 class TestSimulatorTracksLiveNoiseModel:
