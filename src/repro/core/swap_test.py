@@ -176,12 +176,13 @@ class AnalyticFidelityEstimator(FidelityEstimator):
     def data_statevector(self, features: Sequence[float]) -> Statevector:
         """Encoded data state ``|phi(x)>`` (memoised per feature vector, LRU).
 
-        Keyed on the configured :mod:`repro.arrays` precision too, so a warm
-        cache never hands a state built at one precision to a sweep at the
-        other.
+        Keyed on the configured :mod:`repro.arrays` precision and the exact
+        float64 bytes of the features, so a warm cache never hands a state
+        built at one precision, or for a nearby feature vector, to a later
+        call.
         """
-        rounded = np.round(np.asarray(features, dtype=float), 12)
-        key = (arrays.get_precision(), tuple(rounded))
+        row = np.ascontiguousarray(features, dtype=float)
+        key = (arrays.get_precision(), row.tobytes())
         cached = self._data_state_cache.get(key)
         if cached is None:
             circuit = self.builder.data_state_circuit(features)

@@ -384,23 +384,25 @@ class NoisyBackend(Backend):
         readout = self._simulator.run_sweep_program(
             program, bindings, shots=shots, tile_plan=tile_plan
         )
-        for element in range(bindings.shape[0]):
-            result = SimulationResult(
-                circuit_name=f"{circuit.name}_basis_routed",
-                probabilities=readout.probabilities[element],
-                counts=readout.counts[element] if readout.counts is not None else None,
-                shots=shots,
-                metadata={
-                    "engine": self._simulator.name,
-                    "noisy": not self.properties.noise_model.is_ideal,
-                    "batched": True,
-                    "batch_size": int(bindings.shape[0]),
-                    "program_sweep": True,
-                    "grid_sweep": True,
-                },
-            )
-            self._attach_metadata(result, stats)
-            self._record_job(result)
+        # Every element is one ledgered job; the ledger reads only the name,
+        # the shots and the transpile stats, so all elements share one
+        # summary result (no per-element probabilities or counts).
+        summary = SimulationResult(
+            circuit_name=f"{circuit.name}_basis_routed",
+            probabilities={},
+            shots=shots,
+            metadata={
+                "engine": self._simulator.name,
+                "noisy": not self.properties.noise_model.is_ideal,
+                "batched": True,
+                "batch_size": int(bindings.shape[0]),
+                "program_sweep": True,
+                "grid_sweep": True,
+            },
+        )
+        self._attach_metadata(summary, stats)
+        for _ in range(bindings.shape[0]):
+            self._record_job(summary)
         return readout.marginal_probabilities(0, 0)
 
     def _record_job(self, result: SimulationResult) -> None:
@@ -409,5 +411,7 @@ class NoisyBackend(Backend):
         The base class keeps no job records; the simulated providers in
         :mod:`repro.hardware` override this to append to their
         :class:`~repro.hardware.job.JobLedger`, so single runs and grid
-        sweeps share one accounting path.
+        sweeps share one accounting path.  A grid sweep calls it once per
+        element with one shared summary result: name, shots and metadata,
+        with empty ``probabilities`` and no ``counts``.
         """

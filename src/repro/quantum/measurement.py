@@ -101,8 +101,8 @@ def normalize_outcome_probabilities(probabilities: np.ndarray) -> np.ndarray:
     """Clip negatives and normalise outcome probabilities along the last axis.
 
     Shared by the per-circuit sampler (:func:`counts_from_probabilities`) and
-    the batched sampler used by both simulator engines
-    (``repro.quantum.simulator._sample_counts_batch``) so every path feeds
+    the array sweep sampler used by both simulator engines
+    (``repro.quantum.simulator._sample_counts``) so every path feeds
     *identical* probability vectors to the RNG — the draw-for-draw
     batched-vs-loop equivalence depends on this being a single code path.
     Rows whose total is zero or non-finite raise :class:`SimulationError`.
@@ -163,10 +163,10 @@ def exact_clbit_probabilities(
     ``probabilities`` is the joint distribution over ``measured_qubits`` (in
     that qubit order); the result maps full classical-register bit strings
     (bit 0 leftmost) to probabilities, with zero-probability outcomes dropped
-    exactly as the sampling helpers expect.  Shared by the per-circuit
-    simulators, the vectorised batch paths, and the compiled
-    :class:`~repro.quantum.program.SweepProgram` executor so every read-out
-    path produces identical outcome dictionaries.
+    exactly as the sampling helpers expect.  It is the per-circuit
+    simulators' read-out, and the reference that the array sweep read-out
+    (``repro.quantum.simulator._clbit_readout``) reproduces column for
+    column.
     """
     width = len(measured_qubits)
     out: Dict[str, float] = {}

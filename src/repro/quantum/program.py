@@ -42,6 +42,7 @@ without re-binding circuits at all.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -519,6 +520,28 @@ class SweepProgram:
         #: translation check rejects any fused step that straddles one.
         self.fusion_barriers: Tuple[int, ...] = tuple(fusion_barriers)
         self.name = name
+
+    @functools.cached_property
+    def clbit_columns(self) -> np.ndarray:
+        """Clbit-ordered column of every measured-qubit outcome index.
+
+        Index ``i`` of the joint distribution over ``measured_qubits``
+        (position 0 the most significant bit) lands in column ``int(key, 2)``
+        of the classical-register bit string ``key`` (clbit 0 leftmost) that
+        :func:`~repro.quantum.measurement.exact_clbit_probabilities` builds
+        for it; a clbit written by several measurements keeps the last one.
+        Built once per program, read-only.
+        """
+        width = len(self.measured_qubits)
+        indices = np.arange(2**width, dtype=np.int64)
+        columns = np.zeros(2**width, dtype=np.int64)
+        last_position = {clbit: position for position, clbit in enumerate(self.clbits)}
+        for clbit, position in last_position.items():
+            columns |= ((indices >> (width - 1 - position)) & 1) << (
+                self.num_clbits - 1 - clbit
+            )
+        columns.flags.writeable = False
+        return columns
 
     # ------------------------------------------------------------------ #
     # Compilation

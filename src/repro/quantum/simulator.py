@@ -26,10 +26,31 @@ the last bind site is folded into per-outcome effect operators (certified by
 VER406), so each tile stops at the tail and reads its distribution with one
 matmul; see :class:`~repro.quantum.program.ReadoutFold`.
 :meth:`DensityMatrixSimulator.run` evolves every gate and stays the oracle.
-Shot sampling for the whole sweep is one stacked RNG call that consumes the
-generator exactly like a loop of :meth:`StatevectorSimulator.run` /
-:meth:`DensityMatrixSimulator.run`, so sampled counts match that loop draw
-for draw under a shared seed.
+
+A sweep's read-out is a :class:`SweepReadout` of arrays, never one
+dictionary or :class:`~repro.quantum.measurement.Counts` per element:
+
+* ``probabilities`` — ``(elements, 2**num_clbits)`` float64, column ``j``
+  the outcome whose classical bit string (clbit 0 leftmost) reads ``j``.
+  The joint distribution over the measured qubits is re-indexed through
+  the column map :attr:`~repro.quantum.program.SweepProgram.clbit_columns`,
+  built once per program; non-positive entries are dropped and entries
+  landing on one column accumulate in measured-qubit index order, as
+  :func:`~repro.quantum.measurement.exact_clbit_probabilities` does for
+  one circuit.
+* ``counts`` — ``(elements, 2**num_clbits)`` int64 shot counts, or ``None``.
+  Each element draws over its present outcomes in *key order*: first
+  appearance in measured-qubit index order, the key order of the
+  per-circuit dictionary, which is not always ascending clbit order.  When
+  every element has the same positive-outcome pattern, one stacked
+  multinomial call draws the whole sweep; elements whose zero patterns
+  differ draw one by one on their own present subsets.  Either way
+  the generator is consumed exactly like a loop of
+  :meth:`StatevectorSimulator.run` / :meth:`DensityMatrixSimulator.run`, so
+  sampled counts match that loop draw for draw under a shared seed.
+* marginals — an integer column sum over the counts divided by the shots,
+  or, without shots, a sequential sum of probabilities in key order; both
+  bit-identical to :meth:`SimulationResult.marginal_probability`.
 
 On the pure-state engine a program that VER405 certifies as the canonical
 SWAP test does not simulate all ``2n + 1`` qubits: its two registers
@@ -49,6 +70,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro import arrays
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix
@@ -117,6 +139,11 @@ class SimulationResult:
         """Probability that classical bit ``clbit`` reads ``value``."""
         if self.counts is not None:
             return self.counts.marginal_probability(clbit, value)
+        num_bits = len(next(iter(self.probabilities), ""))
+        if clbit < 0 or clbit >= num_bits:
+            raise SimulationError(
+                f"bit index {clbit} out of range for {num_bits}-bit outcomes"
+            )
         total = 0.0
         for key, prob in self.probabilities.items():
             if int(key[clbit]) == value:
@@ -128,78 +155,131 @@ class SimulationResult:
 #: (see :func:`repro.quantum.program.check_deferred_measurement`).
 _check_deferred_measurement = check_deferred_measurement
 
-#: Classical-bit re-indexing — shared with the compiled-program path (see
-#: :func:`repro.quantum.measurement.exact_clbit_probabilities`).
-_exact_clbit_probabilities = exact_clbit_probabilities
-
-
-def _sample_counts_batch(
-    rng: np.random.Generator,
-    probabilities_per_element: Sequence[Dict[str, float]],
-    shots: int,
-) -> List[Counts]:
-    """Sample counts for every batch element, matching the loop's RNG stream.
-
-    When all elements expose the same outcome keys (the common case — a
-    SWAP-test sweep always yields the ``{"0", "1"}`` pair), all elements are
-    drawn with one stacked multinomial call; NumPy consumes the bit generator
-    row by row, so the draws are identical to sequential
-    :func:`~repro.quantum.measurement.counts_from_probabilities` calls.
-    Heterogeneous key sets (some element has an exactly-zero outcome that the
-    exact read-out dropped) fall back to the sequential path to keep the
-    stream aligned with the per-circuit loop.  Shared by both engines' sweep
-    read-out so the seed-identity guarantee has a single implementation.
-    """
-    key_sets = [tuple(probs.keys()) for probs in probabilities_per_element]
-    if any(key_set != key_sets[0] for key_set in key_sets[1:]):
-        return [
-            counts_from_probabilities(probs, shots, rng=rng)
-            for probs in probabilities_per_element
-        ]
-    keys = key_sets[0]
-    pvals = normalize_outcome_probabilities(
-        [[probs[key] for key in keys] for probs in probabilities_per_element]
-    )
-    samples = rng.multinomial(shots, pvals)
-    return [
-        Counts({key: int(count) for key, count in zip(keys, row) if count > 0})
-        for row in samples
-    ]
-
 
 @dataclasses.dataclass
 class SweepReadout:
-    """Per-element read-out of one tiled program execution.
+    """Read-out of one tiled program execution, as ``(elements, 2**num_clbits)`` arrays.
 
-    Holds only what downstream consumers need — outcome-probability
-    dictionaries and (optionally) sampled counts — so a tiled sweep never
-    materialises per-element states.  Produced by the simulators'
-    ``run_sweep_program`` methods.
+    Column ``j`` of each array is the classical-register outcome whose bit
+    string (clbit 0 leftmost) reads ``j`` in binary, as in
+    :meth:`~repro.quantum.measurement.Counts.to_array`.  Produced by the
+    simulators' ``run_sweep_program`` methods; a tiled sweep never
+    materialises per-element states, dictionaries or
+    :class:`~repro.quantum.measurement.Counts`.
+
+    Attributes
+    ----------
+    probabilities:
+        Exact outcome probabilities; an outcome whose every source
+        probability is non-positive reads ``0.0``, the outcomes
+        :func:`~repro.quantum.measurement.exact_clbit_probabilities` drops.
+    counts:
+        Sampled int64 counts, or ``None`` for exact execution.
+    num_clbits:
+        Width of the classical register.
+    outcome_order:
+        The columns in *key order*: present outcomes in order of first
+        appearance in measured-qubit index order (the key order of the
+        per-circuit dictionary), then absent columns in ascending order.
+        One row shared by every element when all elements have the same
+        positive-outcome pattern, else one row per element.  Exact
+        marginals sum in this order, so they match the per-circuit
+        dictionary sum bit for bit.
     """
 
-    probabilities: List[Dict[str, float]]
-    counts: Optional[List[Counts]]
+    probabilities: np.ndarray
+    counts: Optional[np.ndarray]
     num_clbits: int
+    outcome_order: np.ndarray
 
     def marginal_probabilities(self, clbit: int = 0, value: int = 0) -> np.ndarray:
         """Per-element ``P(clbit == value)``, preferring sampled counts.
 
-        Mirrors :meth:`SimulationResult.marginal_probability` element-wise so
-        the program sweep path reports exactly what a loop of full results
-        would.
+        Bit-identical to :meth:`SimulationResult.marginal_probability` per
+        element: with counts, an integer column sum over the shots; without,
+        a sequential sum of the matching probabilities in key order.
         """
-        if self.counts is not None:
-            return np.array(
-                [c.marginal_probability(clbit, value) for c in self.counts],
-                dtype=float,
+        if clbit < 0 or clbit >= self.num_clbits:
+            raise SimulationError(
+                f"bit index {clbit} out of range for {self.num_clbits}-bit outcomes"
             )
-        return np.array(
-            [
-                sum(p for key, p in probs.items() if int(key[clbit]) == value)
-                for probs in self.probabilities
-            ],
-            dtype=float,
+        columns = np.arange(2**self.num_clbits)
+        matches = ((columns >> (self.num_clbits - 1 - clbit)) & 1) == value
+        if self.counts is not None:
+            return self.counts[:, matches].sum(axis=1) / self.counts.sum(axis=1)
+        matched = np.where(matches, self.probabilities, 0.0)
+        ordered = np.take_along_axis(matched, self.outcome_order, axis=1)
+        # cumsum accumulates strictly left to right, like the dictionary sum.
+        return np.cumsum(ordered, axis=1)[:, -1]
+
+
+def _sample_counts(
+    rng: np.random.Generator,
+    probabilities: np.ndarray,
+    order: np.ndarray,
+    present: np.ndarray,
+    shots: int,
+) -> np.ndarray:
+    """Sample every element's counts, consuming ``rng`` like the ``run`` loop.
+
+    Each element draws over its present outcomes in key order (the first
+    ``present`` columns of its ``order`` row), the category order
+    :func:`~repro.quantum.measurement.counts_from_probabilities` uses for
+    that element's dictionary.  One ``order`` row means every element has
+    the same positive-outcome pattern (a SWAP-test sweep yields the
+    ``0``/``1`` pair): one stacked multinomial call draws them all, and
+    NumPy consumes the bit generator row by row, so the draws equal
+    sequential per-element calls.  Otherwise each element draws on its own
+    present subset.
+    """
+    counts = np.zeros(probabilities.shape, dtype=np.int64)
+    if order.shape[0] == 1:
+        keys = order[0, : present[0]]
+        pvals = normalize_outcome_probabilities(probabilities[:, keys])
+        counts[:, keys] = rng.multinomial(shots, pvals)
+        return counts
+    for element, row in enumerate(probabilities):
+        keys = order[element, : present[element]]
+        counts[element, keys] = arrays.multinomial(
+            rng, shots, normalize_outcome_probabilities(row[keys])
         )
+    return counts
+
+
+def _clbit_readout(
+    joint: np.ndarray,
+    program: SweepProgram,
+    rng: np.random.Generator,
+    shots: Optional[int],
+) -> SweepReadout:
+    """Re-index a sweep's joint distribution into clbit order and sample it.
+
+    Array form of :func:`~repro.quantum.measurement.exact_clbit_probabilities`
+    followed by :func:`~repro.quantum.measurement.counts_from_probabilities`
+    per element: non-positive entries are dropped, entries landing on one
+    column accumulate in measured-qubit index order, and the draws are the
+    per-element loop's.
+    """
+    columns = program.clbit_columns
+    elements, outcomes = joint.shape
+    keep = ~(joint <= 0.0)
+    kept = np.where(keep, joint, 0.0).astype(float)
+    probabilities = np.zeros((elements, 2**program.num_clbits))
+    for index, column in enumerate(columns):
+        probabilities[:, column] += kept[:, index]
+    # Elements with one positive-outcome pattern share one key order: the
+    # columns by their first kept measured-qubit index, absent ones last.
+    patterns = keep[:1] if (keep == keep[:1]).all() else keep
+    first = np.full((patterns.shape[0], probabilities.shape[1]), outcomes)
+    np.minimum.at(
+        first, (slice(None), columns), np.where(patterns, np.arange(outcomes), outcomes)
+    )
+    order = np.argsort(first, axis=1, kind="stable")
+    counts = None
+    if shots is not None:
+        present = (first < outcomes).sum(axis=1)
+        counts = _sample_counts(rng, probabilities, order, present, shots)
+    return SweepReadout(probabilities, counts, program.num_clbits, order)
 
 
 def swap_test_registers(
@@ -301,14 +381,13 @@ def _execute_sweep_readout(
     ``registers`` (statevector engine only) are the two halves of a
     certified SWAP test: the joint read-out then comes from their overlap
     unless the :data:`COLLAPSE_MIN_P1` guard sends the sweep back to the
-    circuit.  Either way
-    :func:`~repro.quantum.measurement.exact_clbit_probabilities` then
-    :func:`_sample_counts_batch` follow, so the sweep consumes the RNG
-    draw-for-draw like the per-circuit ``run`` loop.
+    circuit.  Either way :func:`_clbit_readout` follows, so the sweep
+    consumes the RNG draw-for-draw like the per-circuit ``run`` loop.
     """
     bindings = np.asarray(bindings, dtype=float)
     if bindings.shape[0] == 0:
-        return SweepReadout([], [] if shots is not None else None, program.num_clbits)
+        empty = np.zeros((0, 2 ** len(program.measured_qubits)))
+        return _clbit_readout(empty, program, rng, shots)
     if not program.measured_qubits:
         raise SimulationError("cannot read out a sweep program without measurements")
     if tile_plan is not None and tile_plan.total_elements != bindings.shape[0]:
@@ -321,16 +400,7 @@ def _execute_sweep_readout(
         joint = _collapsed_joint(registers, bindings, tile_plan)
     if joint is None:
         joint = program.execute(bindings, engine, tile_plan=tile_plan)
-    probabilities = [
-        exact_clbit_probabilities(
-            joint[element], program.measured_qubits, program.clbits, program.num_clbits
-        )
-        for element in range(joint.shape[0])
-    ]
-    counts = (
-        _sample_counts_batch(rng, probabilities, shots) if shots is not None else None
-    )
-    return SweepReadout(probabilities, counts, program.num_clbits)
+    return _clbit_readout(joint, program, rng, shots)
 
 
 class _SweepProgramCacheMixin:
@@ -480,7 +550,7 @@ class StatevectorSimulator(_SweepProgramCacheMixin):
         counts: Optional[Counts] = None
         if measured_qubits:
             joint = state.probabilities(measured_qubits)
-            probabilities = _exact_clbit_probabilities(
+            probabilities = exact_clbit_probabilities(
                 joint, measured_qubits, clbits, circuit.num_clbits
             )
             if shots is not None:
@@ -622,7 +692,7 @@ class DensityMatrixSimulator(_SweepProgramCacheMixin):
         if measured_qubits:
             joint = state.probabilities(measured_qubits)
             joint = self._apply_readout_error(joint, measured_qubits)
-            probabilities = _exact_clbit_probabilities(
+            probabilities = exact_clbit_probabilities(
                 joint, measured_qubits, clbits, circuit.num_clbits
             )
             if shots is not None:

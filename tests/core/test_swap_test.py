@@ -201,10 +201,21 @@ class TestDataStateCacheBound:
         estimator.data_statevector(b)
         estimator.data_statevector(a)  # refresh a
         estimator.data_statevector(c)  # evicts b
-        key_a = (arrays.get_precision(), tuple(np.round(a, 12)))
-        key_b = (arrays.get_precision(), tuple(np.round(b, 12)))
+        key_a = (arrays.get_precision(), a.tobytes())
+        key_b = (arrays.get_precision(), b.tobytes())
         assert key_a in estimator._data_state_cache
         assert key_b not in estimator._data_state_cache
+
+    def test_nearby_features_do_not_share_a_cached_state(self, builder):
+        """A warm cache returns what a cold one computes, even 4e-13 away."""
+        a = np.array([0.1, 0.2, 0.3, 0.4])
+        b = a + np.array([4e-13, 0.0, 0.0, 0.0])
+        warm = AnalyticFidelityEstimator(builder)
+        warm.data_statevector(a)
+        cold = AnalyticFidelityEstimator(builder)
+        np.testing.assert_array_equal(
+            warm.data_statevector(b).data, cold.data_statevector(b).data
+        )
 
     def test_eviction_does_not_change_values(self, builder, parameters):
         bounded = AnalyticFidelityEstimator(builder, data_cache_size=1)

@@ -17,6 +17,8 @@ from repro.quantum.noise import NoiseModel
 from repro.quantum.operations import Parameter
 from repro.quantum.topology import CouplingMap
 
+from readout_arrays import assert_probabilities_match, counts_rows
+
 
 def ghz_circuit(num_qubits: int = 3) -> QuantumCircuit:
     qc = QuantumCircuit(num_qubits, num_qubits, name="ghz")
@@ -141,11 +143,20 @@ def run_loop(backend, rows, shots=None):
 
 
 class RecordingBackend(NoisyBackend):
-    """Noisy backend that keeps every per-element result it accounts for."""
+    """Noisy backend that keeps every result it accounts for and every sweep read-out."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.records = []
+        self.readouts = []
+        run_sweep_program = self._simulator.run_sweep_program
+
+        def recording_sweep(*sweep_args, **sweep_kwargs):
+            readout = run_sweep_program(*sweep_args, **sweep_kwargs)
+            self.readouts.append(readout)
+            return readout
+
+        self._simulator.run_sweep_program = recording_sweep
 
     def _record_job(self, result):
         self.records.append(result)
@@ -277,17 +288,15 @@ class TestRunBatch:
         backend = RecordingBackend(make_device(), seed=3)
         grid_sweep(backend, rows, shots=200)
         looped = run_loop(NoisyBackend(make_device(), seed=3), rows, shots=200)
-        assert [r.counts.data for r in backend.records] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(backend.readouts[0].counts, counts_rows(looped, 1))
+        assert [r.shots for r in backend.records] == [r.shots for r in looped]
 
     def test_noisy_batch_exact_probabilities_match_loop(self):
         rows = np.random.default_rng(12).uniform(0, np.pi, size=(5, 3))
         backend = RecordingBackend(make_device(), seed=0)
         grid_sweep(backend, rows)
         looped = run_loop(NoisyBackend(make_device(), seed=0), rows)
-        for result, single in zip(backend.records, looped):
-            assert set(result.probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert result.probabilities[key] == pytest.approx(value, abs=1e-12)
+        assert_probabilities_match(backend.readouts[0], looped)
 
     def test_noisy_batch_is_vectorised_and_reports_metadata(self):
         """A grid sweep runs the compiled program and ledgers every element."""
@@ -322,7 +331,7 @@ class TestRunBatch:
         grid_sweep(backend, [row])
         single = NoisyBackend(make_device(), seed=2).run(rotation_circuit(row))
         assert backend.records[0].shots == single.shots == 1024
-        assert backend.records[0].counts.data == single.counts.data
+        np.testing.assert_array_equal(backend.readouts[0].counts, counts_rows([single], 1))
 
 
 class TestNoisyBackendTranspileCache:

@@ -16,6 +16,8 @@ from repro.quantum.noise import NoiseModel, ReadoutError, depolarizing_kraus
 from repro.quantum.operations import Parameter
 from repro.quantum.simulator import DensityMatrixSimulator
 
+from readout_arrays import assert_probabilities_match, counts_rows, probability_rows
+
 ANGLES = [Parameter(f"a{index}") for index in range(4)]
 
 
@@ -55,11 +57,8 @@ class TestVectorisedPath:
     def test_exact_probabilities_match_per_circuit_runs(self):
         rows = random_rows(7, seed=0)
         readout = sweep(DensityMatrixSimulator(noisy_model()), rows)
-        for row, probabilities in zip(rows, readout.probabilities):
-            single = DensityMatrixSimulator(noisy_model()).run(sweep_circuit(row), shots=None)
-            assert set(probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+        singles = loop(DensityMatrixSimulator(noisy_model()), rows, None)
+        assert_probabilities_match(readout, singles)
 
     def test_density_matrices_match_per_circuit_runs(self):
         rows = random_rows(4, seed=1)
@@ -77,37 +76,34 @@ class TestVectorisedPath:
         rows = random_rows(6, seed=2)
         readout = sweep(DensityMatrixSimulator(noisy_model(), seed=11), rows, shots=500)
         looped = loop(DensityMatrixSimulator(noisy_model(), seed=11), rows, 500)
-        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(readout.counts, counts_rows(looped, 1))
 
     def test_seed_match_with_gate_noise_only(self):
         noise = NoiseModel().add_all_qubit_error(depolarizing_kraus(0.02), 1)
         rows = random_rows(5, seed=3)
         readout = sweep(DensityMatrixSimulator(noise, seed=5), rows, shots=256)
         looped = loop(DensityMatrixSimulator(noise, seed=5), rows, 256)
-        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(readout.counts, counts_rows(looped, 1))
 
     def test_seed_match_with_readout_error_only(self):
         noise = NoiseModel().add_readout_error(ReadoutError(0.08, 0.03))
         rows = random_rows(5, seed=4)
         readout = sweep(DensityMatrixSimulator(noise, seed=6), rows, shots=256)
         looped = loop(DensityMatrixSimulator(noise, seed=6), rows, 256)
-        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
-        for probabilities, loop_result in zip(readout.probabilities, looped):
-            assert probabilities == pytest.approx(loop_result.probabilities)
+        np.testing.assert_array_equal(readout.counts, counts_rows(looped, 1))
+        np.testing.assert_allclose(readout.probabilities, probability_rows(looped, 1))
 
     def test_ideal_model_matches_loop(self):
         rows = random_rows(4, seed=5)
         readout = sweep(DensityMatrixSimulator(seed=3), rows, shots=128)
         looped = loop(DensityMatrixSimulator(seed=3), rows, 128)
-        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(readout.counts, counts_rows(looped, 1))
 
     def test_identical_parameters_share_one_matrix(self):
         rows = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
         readout = sweep(DensityMatrixSimulator(noisy_model()), rows)
         single = DensityMatrixSimulator(noisy_model()).run(sweep_circuit(rows[0]), shots=None)
-        for probabilities in readout.probabilities:
-            for key, value in single.probabilities.items():
-                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+        assert_probabilities_match(readout, [single] * len(rows))
 
     def test_batched_metadata_marks_the_vectorised_engine(self):
         """Repeat sweeps reuse one compiled program and one noise plan."""
@@ -130,8 +126,7 @@ class TestFallbacks:
         )
         assert simulator.program_cache_stats["entries"] == 2
         single = DensityMatrixSimulator(noisy_model()).run(bell, shots=None)
-        for key, value in single.probabilities.items():
-            assert readout.probabilities[0][key] == pytest.approx(value, abs=1e-12)
+        assert_probabilities_match(readout, [single])
 
     def test_reset_circuits_fall_back_to_the_loop(self):
         """Resets cannot be compiled into a sweep; ``run`` still executes them."""
@@ -148,19 +143,22 @@ class TestFallbacks:
         bell.h(0).cx(0, 1).measure(0, 0)
         row = [0.1, 0.2, 0.3, 0.4]
         simulator = DensityMatrixSimulator(noisy_model(), seed=4)
-        swept = sweep(simulator, [row], shots=128).counts + simulator.run_sweep_program(
-            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
-        ).counts
+        swept = np.concatenate([
+            sweep(simulator, [row], shots=128).counts,
+            simulator.run_sweep_program(
+                simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
+            ).counts,
+        ])
         loop_sim = DensityMatrixSimulator(noisy_model(), seed=4)
         looped = [loop_sim.run(circuit, shots=128) for circuit in (sweep_circuit(row), bell)]
-        assert [c.data for c in swept] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(swept, counts_rows(looped, 1))
 
 
 class TestValidation:
     def test_empty_batch_yields_empty_results(self):
         readout = sweep(DensityMatrixSimulator(), np.zeros((0, 4)), shots=64)
-        assert readout.probabilities == []
-        assert readout.counts == []
+        assert readout.probabilities.shape == (0, 2)
+        assert readout.counts.shape == (0, 2)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(SimulationError):

@@ -350,11 +350,11 @@ class TestSimulatorTracksLiveNoiseModel:
         simulator.run_sweep_program(program, rows, shots=None)  # plans the ideal model
         model.add_all_qubit_error(depolarizing_kraus(0.25, 1), 1)
         readout = simulator.run_sweep_program(program, rows, shots=None)
-        for row, probabilities in zip(rows, readout.probabilities):
+        for row, probability in zip(rows, readout.probabilities[:, 0]):
             loop = DensityMatrixSimulator(noise_model=model).run(
                 sweep_circuit(row), shots=None
             )
-            assert probabilities["0"] == pytest.approx(loop.probabilities["0"], abs=1e-10)
+            assert probability == pytest.approx(loop.probabilities["0"], abs=1e-10)
 
 
 class TestBarrierInsensitiveBindings:

@@ -387,4 +387,4 @@ class TestFailClosed:
         without_fold(monkeypatch)
         unfolded, unfolded_probabilities = sweep()
         np.testing.assert_array_equal(guarded, unfolded)
-        assert guarded_probabilities == unfolded_probabilities
+        np.testing.assert_array_equal(guarded_probabilities, unfolded_probabilities)

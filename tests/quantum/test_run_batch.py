@@ -15,6 +15,8 @@ from repro.quantum.operations import Parameter
 from repro.quantum.program import StatevectorEngine, SweepProgram
 from repro.quantum.simulator import StatevectorSimulator
 
+from readout_arrays import assert_probabilities_match, counts_rows
+
 ANGLES = [Parameter(f"a{index}") for index in range(4)]
 
 
@@ -44,11 +46,8 @@ class TestVectorisedPath:
     def test_exact_probabilities_match_per_circuit_runs(self):
         rows = random_rows(9, seed=0)
         readout = sweep(StatevectorSimulator(), rows)
-        for row, probabilities in zip(rows, readout.probabilities):
-            single = StatevectorSimulator().run(sweep_circuit(row), shots=None)
-            assert set(probabilities) == set(single.probabilities)
-            for key, value in single.probabilities.items():
-                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+        singles = [StatevectorSimulator().run(sweep_circuit(row), shots=None) for row in rows]
+        assert_probabilities_match(readout, singles)
 
     def test_statevectors_match_per_circuit_runs(self):
         rows = random_rows(4, seed=1)
@@ -68,16 +67,14 @@ class TestVectorisedPath:
         readout = sweep(StatevectorSimulator(seed=11), rows, shots=500)
         loop_sim = StatevectorSimulator(seed=11)
         looped = [loop_sim.run(sweep_circuit(row), shots=500) for row in rows]
-        assert [c.data for c in readout.counts] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(readout.counts, counts_rows(looped, 1))
 
     def test_identical_parameters_share_one_matrix(self):
         """All-equal angles take the shared-matrix branch and stay correct."""
         rows = np.tile([0.3, 0.7, 0.3, 0.7], (3, 1))
         readout = sweep(StatevectorSimulator(), rows)
         single = StatevectorSimulator().run(sweep_circuit(rows[0]), shots=None)
-        for probabilities in readout.probabilities:
-            for key, value in single.probabilities.items():
-                assert probabilities[key] == pytest.approx(value, abs=1e-12)
+        assert_probabilities_match(readout, [single] * len(rows))
 
     def test_batched_metadata_marks_the_vectorised_engine(self):
         """Repeat sweeps of one structure reuse one compiled program."""
@@ -99,8 +96,7 @@ class TestFallbacks:
         )
         assert simulator.program_cache_stats["entries"] == 2
         single = StatevectorSimulator().run(bell, shots=None)
-        for key, value in single.probabilities.items():
-            assert readout.probabilities[0][key] == pytest.approx(value, abs=1e-12)
+        assert_probabilities_match(readout, [single])
 
     def test_reset_circuits_fall_back_to_the_loop(self):
         """Resets cannot be compiled into a sweep; ``run`` still executes them."""
@@ -117,18 +113,22 @@ class TestFallbacks:
         bell.h(0).cx(0, 1).measure(0, 0)
         row = [0.1, 0.2, 0.3, 0.4]
         simulator = StatevectorSimulator(seed=4)
-        swept = sweep(simulator, [row], shots=128).counts + simulator.run_sweep_program(
-            simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
-        ).counts
+        swept = np.concatenate([
+            sweep(simulator, [row], shots=128).counts,
+            simulator.run_sweep_program(
+                simulator._grid_program(bell, []), np.zeros((1, 0)), shots=128
+            ).counts,
+        ])
         loop_sim = StatevectorSimulator(seed=4)
         looped = [loop_sim.run(circuit, shots=128) for circuit in (sweep_circuit(row), bell)]
-        assert [c.data for c in swept] == [r.counts.data for r in looped]
+        np.testing.assert_array_equal(swept, counts_rows(looped, 1))
 
 
 class TestValidation:
     def test_empty_batch_yields_empty_results(self):
         readout = sweep(StatevectorSimulator(), np.zeros((0, 4)))
-        assert readout.probabilities == []
+        assert readout.probabilities.shape == (0, 2)
+        assert readout.counts is None
         assert readout.marginal_probabilities(0, 0).shape == (0,)
 
     def test_zero_shots_rejected(self):
